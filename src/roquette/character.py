@@ -32,12 +32,6 @@ class ClassFunction:
     p: int
     values: tuple
 
-    def value_on_class(self, i: int):
-        return self.values[i]
-
-    def value_on(self, group: RoquetteGroup, g):
-        return self.values[group.class_of(g)]
-
     def __len__(self):
         return len(self.values)
 

@@ -114,25 +114,33 @@ def hasse_weil_sharpness(p: int) -> HasseWeilReport:
 def _lambda_route(p: int, target: FieldDescriptor):
     """Embedding of F_{p^2} into the target field, routed through F_{p^4}.
 
-    Every field the action ever runs in has degree divisible by 4 (or is
-    F_{p^2} itself).  Routing all lambda realizations through the one
-    F_{p^4} arrow keeps the identification of group elements with curve
-    automorphisms consistent across every working field, so characters
-    computed in different fields can be compared coefficient by
-    coefficient.
+    Routing all lambda realizations through the one F_{p^4} arrow keeps
+    the identification of group elements with curve automorphisms
+    consistent across every working field, so characters computed in
+    different fields can be compared coefficient by coefficient.  A
+    target of degree k = 2 mod 4 does not contain F_{p^4}; there the
+    embedding of F_{p^2} is the one of its two whose image in F_{p^(2k)}
+    agrees with the F_{p^4} route into F_{p^(2k)}.
     """
     fp2 = make_field(p, 2)
     if target == fp2:
         return lambda e: e
+    if target.k % 2:
+        raise ValueError(
+            f"action field must contain F_p^2 (even degree), got {target!r}")
+    if target.k % 4:
+        direct = ff.embedding(fp2, target)
+        up = ff.embedding(target, make_field(p, 2 * target.k))
+        gen = fp2.gen()
+        if up.apply(direct.apply(gen)) == _lambda_route(p, up.target)(gen):
+            return direct.apply
+        return lambda e: direct.apply(e.frobenius())
     fp4 = make_field(p, 4)
     first = ff.embedding(fp2, fp4)
     if target == fp4:
         return first.apply
-    if target.k % 4 == 0:
-        second = ff.embedding(fp4, target)
-        return lambda e: second.apply(first.apply(e))
-    raise ValueError(
-        f"action field must be F_p^2 or have degree divisible by 4, got {target!r}")
+    second = ff.embedding(fp4, target)
+    return lambda e: second.apply(first.apply(e))
 
 
 def lambda_in(group: RoquetteGroup, g, target: FieldDescriptor) -> FieldElement:
@@ -144,8 +152,8 @@ def act(group: RoquetteGroup, g, P: CurvePoint, field: FieldDescriptor | None = 
         check: bool = True) -> CurvePoint:
     """Image of P under the automorphism g.
 
-    P must lie over a field containing F_{p^2} (degree 2, or divisible
-    by 4); pass `field` explicitly when P is Infinity.
+    P must lie over a field containing F_{p^2} (even degree); pass
+    `field` explicitly when P is Infinity.
     """
     p = group.p
     if P is INFINITY:

@@ -544,10 +544,10 @@ class Embedding:
 
     Realized by mapping the source generator to the root of the source
     modulus in the target that is first in the lexicographic enumeration
-    of target elements.  `section` inverts the map on its image.
+    of target elements.
     """
 
-    __slots__ = ("source", "target", "root", "_powers", "_solver")
+    __slots__ = ("source", "target", "root", "_powers")
 
     def __init__(self, source: FieldDescriptor, target: FieldDescriptor):
         if source.p != target.p:
@@ -567,7 +567,6 @@ class Embedding:
         for _ in range(source.k - 1):
             powers.append(powers[-1] * self.root)
         self._powers = powers
-        self._solver = None
 
     def apply(self, a: FieldElement) -> FieldElement:
         if a.field != self.source:
@@ -577,45 +576,6 @@ class Embedding:
             if c:
                 out = out + pw * c
         return out
-
-    def section(self, b: FieldElement) -> FieldElement:
-        """Preimage of b under the embedding; raises if b is not in the image."""
-        if b.field != self.target:
-            raise ValueError("element not in the embedding's target field")
-        p = self.source.p
-        s, t = self.source.k, self.target.k
-        # solve M c = b over F_p where column j of M is root^j
-        rows = [[self._powers[j].coeffs[i] for j in range(s)] + [b.coeffs[i]]
-                for i in range(t)]
-        piv_col = 0
-        pivots = []
-        for col in range(s):
-            sel = None
-            for r in range(piv_col, t):
-                if rows[r][col]:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            rows[piv_col], rows[sel] = rows[sel], rows[piv_col]
-            inv = pow(rows[piv_col][col], p - 2, p)
-            rows[piv_col] = [(x * inv) % p for x in rows[piv_col]]
-            for r in range(t):
-                if r != piv_col and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[piv_col])]
-            pivots.append(col)
-            piv_col += 1
-        coeffs = [0] * s
-        for idx, col in enumerate(pivots):
-            coeffs[col] = rows[idx][s]
-        for r in range(piv_col, t):
-            if rows[r][s]:
-                raise ValueError("element is not in the image of the embedding")
-        cand = FieldElement(self.source, tuple(coeffs))
-        if self.apply(cand) != b:
-            raise ValueError("element is not in the image of the embedding")
-        return cand
 
 
 def _lex_min_root(modulus: tuple[int, ...], target: FieldDescriptor) -> FieldElement:
@@ -658,7 +618,3 @@ def _split_to_root(f, rng: random.Random):
 def embedding(source: FieldDescriptor, target: FieldDescriptor) -> Embedding:
     return Embedding(source, target)
 
-
-def embed(a: FieldElement, target: FieldDescriptor) -> FieldElement:
-    """Image of a under the canonical embedding of its field into target."""
-    return embedding(a.field, target).apply(a)

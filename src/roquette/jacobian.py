@@ -10,13 +10,11 @@ eps * p^m with eps = +1 iff p = 1 mod 4, which gives the closed order
 formula #J = (1 - (eps*p)^m)^(2g) and pins down which extension contains
 the full ell-torsion: m is the multiplicative order of eps*p mod ell.
 
-The action of a curve automorphism on a class is computed pointwise: the
-support of u is split in an extension field, each point is moved by the
-curve action, the base point contribution deg(u) * (g(inf) - inf) is
-subtracted, and the reduced result is projected back down to the base
-field (it is Galois-stable by construction).  The working extension
-always has degree divisible by 4 so the lambda realization stays
-consistent with the character computations.
+The action of a curve automorphism on a class is computed in the class's
+own field by substituting the inverse Mobius map into the Mumford pair:
+u and v are pulled back and cleared of denominators, v is scaled by the
+y-multiplier, and the base point term -deg(u) * (g(inf) - inf) costs at
+most one Cantor addition, because g(inf) is a Weierstrass point.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from . import curve, ff
 from .character import ClassFunction
 from .ff import FieldDescriptor, make_field
 from .group import RoquetteGroup
-from .poly import Poly, roots_with_multiplicity
+from .poly import Poly
 
 
 def epsilon(p: int) -> int:
@@ -239,83 +237,48 @@ class CurveJacobian:
 # Acting on divisor classes
 # ---------------------------------------------------------------------------
 
-def _splitting_lcm(jac: CurveJacobian, u: Poly) -> int:
-    """lcm of the degrees of the irreducible factors of u (distinct-degree)."""
-    if u.degree() <= 0:
-        return 1
-    sf = u.exact_div(u.gcd(u.derivative())) if u.degree() > 1 else u
-    L = 1
-    h = Poly.x(jac.field)
-    cur = sf
-    d = 0
-    while cur.degree() > 0:
-        d += 1
-        h = h.pow_mod(jac.field.order, cur)
-        g = h - Poly.x(jac.field)
-        com = cur.gcd(g)
-        if com.degree() > 0:
-            L = L * d // math.gcd(L, d)
-            cur = cur.exact_div(com)
-        if d > sf.degree():
-            raise RuntimeError("distinct-degree factorization ran away")
-    return L
+def _substitute(f: Poly, num: Poly, den: Poly, e: int) -> Poly:
+    """den^e * f(num/den), a polynomial because deg f <= e."""
+    acc = Poly.zero(f.field)
+    num_pow = Poly.one(f.field)
+    for coef in f.coeffs:
+        acc = acc * den + num_pow.scale(coef)
+        num_pow = num_pow * num
+    for _ in range(e - max(f.degree(), 0)):
+        acc = acc * den
+    return acc
 
 
 def act_on_class(group: RoquetteGroup, g, D: MumfordDivisor) -> MumfordDivisor:
-    """Image of the divisor class D under the automorphism g.
+    """Image of the divisor class D under the automorphism g, in D's field.
 
-    Splits the support in an extension whose degree is divisible by 4,
-    moves each point with the curve action, subtracts deg(u) copies of the
-    image of the base point, and projects the reduced result back to D's
-    field.
+    With g = (a, b, c, d, lam) the inverse Mobius map is X -> num/den for
+    num = dX - b, den = a - cX, and (cx + d) = det/den at x = num/den.  So
+    the moved support is cut out by den^deg(u) * u(num/den) and the moved
+    ordinates by lam * det^(-(p+1)/2) * den^((p+1)/2) * v(num/den).  A
+    support point with cx + d = 0 goes to infinity, where the leading
+    coefficient drops.  What remains is -deg(u) * (g(inf) - inf): for
+    c != 0, g(inf) is the Weierstrass point (a/c, 0) of order 2, added
+    once when deg(u) is odd.
     """
     p = group.p
-    base_field = D.field
-    if base_field.k % 2:
-        raise ValueError("divisor field must contain the quadratic extension")
-    jac_base = CurveJacobian(base_field, p)
+    field = D.field
+    lam = curve.lambda_in(group, g, field)
     if D.is_zero():
         return D
-    L = _splitting_lcm(jac_base, D.u)
-    wk = base_field.k * L
-    wk = (wk * 4) // math.gcd(wk, 4)  # lcm with 4 for the lambda route
-    if wk > 24:
-        raise ValueError(
-            f"splitting the support needs a degree-{wk} extension, "
-            "beyond the degree-24 cap")
-    work = make_field(p, wk)
-    emb = ff.embedding(base_field, work)
-    jac = CurveJacobian(work, p)
-
-    u_w = Poly(work, tuple(emb.apply(c) for c in D.u.coeffs))
-    v_w = Poly(work, tuple(emb.apply(c) for c in D.v.coeffs))
-    acc = jac.zero()
-    deg = D.degree()
-    for root, mult in roots_with_multiplicity(u_w):
-        P = curve.Point(root, v_w.evaluate(root))
-        Q = curve.act(group, g, P, check=False)
-        if Q is curve.INFINITY:
-            continue
-        cls = jac.from_point(Q)
-        for _ in range(mult):
-            acc = jac.add(acc, cls)
-    # subtract deg * (g(inf) - inf)
-    c = g[2] % p
-    if c:
-        a = g[0] % p
-        base_image = jac.from_point(
-            curve.Point(work.element((a * pow(c, p - 2, p)) % p), work.zero()))
-        acc = jac.add(acc, jac.scalar_mul(-deg, base_image))
-    # project back to the base field
-    try:
-        u_b = Poly(base_field, tuple(emb.section(cc) for cc in acc.u.coeffs))
-        v_b = Poly(base_field, tuple(emb.section(cc) for cc in acc.v.coeffs))
-    except ValueError as exc:
-        raise RuntimeError("image class is not Galois-stable; "
-                           "this indicates an internal inconsistency") from exc
-    out = MumfordDivisor(base_field, u_b, v_b)
-    if not jac_base.is_valid(out):
-        raise RuntimeError("projected image is not a valid reduced divisor")
+    jac = CurveJacobian(field, p)
+    a, b, c, d = (field.element(x) for x in g[:4])
+    num = Poly(field, (-b, d))
+    den = Poly(field, (a, -c))
+    half = (p + 1) // 2
+    u = _substitute(D.u, num, den, D.degree()).monic()
+    scale = lam * ((a * d - b * c) ** half).inverse()
+    out = MumfordDivisor(field, u, _substitute(D.v, num, den, half).scale(scale) % u)
+    if not c.is_zero() and D.degree() % 2:
+        out = jac.add(out, jac.from_point(curve.Point(a / c, field.zero())))
+    if not jac.is_valid(out):
+        raise RuntimeError("image is not a valid reduced divisor; "
+                           "this indicates an internal inconsistency")
     return out
 
 

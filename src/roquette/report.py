@@ -14,12 +14,14 @@ algebras, Honda-Tate); the latter is listed, never recomputed.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, character, curve, jacobian
+from .ff import is_prime
 from .group import get_group
 
 SCHEMA_VERSION = "1.0.0"
@@ -105,21 +107,10 @@ def select_ells(p: int, bound: int) -> tuple:
     out = []
     cand = 3
     while len(out) < 2 and cand <= bound:
-        if cand != p and _is_small_prime(cand) and cand ** (p - 1) <= bound:
+        if cand != p and is_prime(cand) and cand ** (p - 1) <= bound:
             out.append(cand)
         cand += 2
     return tuple(out)
-
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def final_verdict(base: character.ObstructionVerdict, any_failures: bool) -> dict:
@@ -135,7 +126,6 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     t_start = time.monotonic()
     timings: dict = {}
 
-    from .ff import is_prime
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     if p < 5:
@@ -143,6 +133,24 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     if p > options.max_prime:
         raise UsageError(
             f"p = {p} exceeds the configured maximum {options.max_prime}")
+    if options.series_precision is not None and options.series_precision < 2:
+        raise UsageError(
+            f"series precision must be at least 2, got {options.series_precision}")
+    if options.ell_bound < 0:
+        raise UsageError(f"ell bound must be non-negative, got {options.ell_bound}")
+    if options.ell is not None:
+        ells = tuple(options.ell)
+        if len(set(ells)) != len(ells):
+            raise UsageError(f"ell = {list(ells)} names a prime more than once")
+        for ell in ells:
+            if not is_prime(ell) or ell == p or ell == 2:
+                raise UsageError(f"ell = {ell} must be an odd prime different from p")
+            if ell ** (p - 1) > options.ell_bound:
+                raise UsageError(
+                    f"ell = {ell}: ell^(2g) = {ell ** (p - 1)} exceeds the bound "
+                    f"{options.ell_bound}; raise --ell-bound to force it")
+    else:
+        ells = select_ells(p, options.ell_bound)
 
     checks: list[Check] = []
 
@@ -284,18 +292,6 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     t0 = time.monotonic()
     ell_witness: list = []
     traces_by_ell: dict = {}
-    if options.ell is not None:
-        ells = tuple(options.ell)
-        for ell in ells:
-            if not _is_small_prime(ell) or ell == p or ell == 2:
-                raise UsageError(f"ell = {ell} must be an odd prime different from p")
-            if ell ** (p - 1) > options.ell_bound:
-                raise UsageError(
-                    f"ell = {ell}: ell^(2g) = {ell ** (p - 1)} exceeds the bound "
-                    f"{options.ell_bound}; raise --ell-bound to force it")
-    else:
-        ells = select_ells(p, options.ell_bound)
-
     if not ells:
         checks.append(Check(
             name="ell_witness", status="skipped",
@@ -328,7 +324,7 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         })
 
     crt_block: dict
-    if traces_by_ell and _product(traces_by_ell) > 2 * (p - 1):
+    if traces_by_ell and math.prod(traces_by_ell) > 2 * (p - 1):
         rec = jacobian.crt_reconstruct(p, traces_by_ell)
         mark("crt_reconstruction", rec.values == chi.values,
              "the integer class function recombined from all torsion traces "
@@ -341,7 +337,7 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         checks.append(Check(
             name="crt_reconstruction", status="skipped",
             claim="reconstruction skipped (bound): the available moduli product "
-                  f"{_product(traces_by_ell)} does not exceed 2(p-1) = {2 * (p - 1)}",
+                  f"{math.prod(traces_by_ell)} does not exceed 2(p-1) = {2 * (p - 1)}",
             data={"moduli": sorted(traces_by_ell)}))
         crt_block = {"status": "skipped", "moduli": sorted(traces_by_ell),
                      "reason": "moduli product too small"}
@@ -373,13 +369,6 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         timings={k: round(v, 6) for k, v in timings.items()}
         if options.include_timings else None,
     )
-
-
-def _product(traces_by_ell: dict) -> int:
-    out = 1
-    for ell in traces_by_ell:
-        out *= ell
-    return out
 
 
 def _mult_order_in_field(el, bound: int) -> int:

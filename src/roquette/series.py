@@ -96,8 +96,7 @@ class TruncatedSeries:
         other = self._coerce(other)
         prec = min(self.prec, other.prec)
         lo = min(self.v0, other.v0, prec)
-        out = [self.coefficient(i) + other.coefficient(i) if i < prec else None
-               for i in range(lo, prec)]
+        out = [self.coefficient(i) + other.coefficient(i) for i in range(lo, prec)]
         return TruncatedSeries(self.field, lo, out, prec)
 
     __radd__ = __add__

@@ -218,12 +218,15 @@ def test_fixed_degree_named_values(group5):
     assert C.fixed_scheme_degree(G, G.mul(G.unipotent(), G.involution)) == 1
 
 
-def test_lambda_route_consistency(group5):
-    # the lambda realization must commute with the canonical tower arrows
-    G = group5
-    f4, f8 = make_field(5, 4), make_field(5, 8)
-    up = ff.embedding(f4, f8)
-    for g in (G.involution, G.unipotent(), G.elements[100], G.elements[201]):
-        l4 = C.lambda_in(G, g, f4)
-        l8 = C.lambda_in(G, g, f8)
-        assert up.apply(l4) == l8
+def test_lambda_route_consistency(group5, group7):
+    # the lambda realization must commute with the canonical tower arrows;
+    # degree 10 does not contain F_{p^4} and picks one of the two embeddings
+    # of F_{p^2} (p = 5 and p = 7 take different ones), which a lambda
+    # outside F_p tells apart
+    for G, k in ((group5, 4), (group5, 10), (group7, 10)):
+        small, big = make_field(G.p, k), make_field(G.p, 2 * k)
+        up = ff.embedding(small, big)
+        outside = next(g for g in G.elements if G.lam_element(g).coeffs[1])
+        for g in (G.involution, G.unipotent(), G.elements[100], G.elements[201],
+                  outside):
+            assert up.apply(C.lambda_in(G, g, small)) == C.lambda_in(G, g, big)

@@ -7,10 +7,11 @@ import pytest
 
 from roquette import character as CH
 from roquette import curve as C
+from roquette import ff
 from roquette import jacobian as J
 from roquette.ff import make_field
 from roquette.group import get_group
-from roquette.poly import Poly
+from roquette.poly import Poly, roots_with_multiplicity
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,6 @@ def test_point_plus_involute_cancels(jac25):
     for _ in range(20):
         x = field.random_element(rng)
         val = jac25.f.evaluate(x)
-        from roquette import ff
         y = ff.sqrt(val)
         if y is None:
             continue
@@ -108,6 +108,73 @@ def test_act_on_class_additive(group5, jac54):
         rhs = jac54.add(J.act_on_class(group5, g, D1),
                         J.act_on_class(group5, g, D2))
         assert lhs == rhs
+
+
+def _random_point(jac, rng):
+    while True:
+        x = jac.field.random_element(rng)
+        y = ff.sqrt(jac.f.evaluate(x))
+        if y is not None:
+            return C.Point(x, y)
+
+
+def _pointwise_image(G, g, jac, points):
+    """The oracle: g(sum (P_i - inf)) = sum g(P_i) - deg * (g(inf) - inf),
+    moving each support point with the curve action."""
+    acc = jac.zero()
+    for P in points:
+        acc = jac.add(acc, jac.from_point(C.act(G, g, P)))
+    base = jac.from_point(C.act(G, g, C.INFINITY, field=jac.field))
+    return jac.add(acc, jac.scalar_mul(-len(points), base))
+
+
+@pytest.mark.parametrize("p,k", [(5, 4), (7, 4), (5, 10), (5, 12)])
+def test_act_on_class_split_support_oracle(p, k):
+    G = get_group(p)
+    jac = J.CurveJacobian(make_field(p, k), p)
+    field = jac.field
+    rng = random.Random(100 * p + k)
+    moving = [g for g in G.elements if g[2] % p]       # c != 0: g(inf) != inf
+    fixing = [g for g in G.elements if g[2] % p == 0]
+    for trial in range(8):
+        g = rng.choice(moving if trial % 4 else fixing)
+        points = [_random_point(jac, rng) for _ in range(1 + trial // 2 % jac.genus)]
+        if g[2] % p and trial % 2:
+            # the support point x = -d/c, which g sends to infinity
+            x = -field.element(g[3]) / field.element(g[2])
+            points[0] = C.Point(x, field.zero())
+        D = jac.zero()
+        for P in points:
+            D = jac.add(D, jac.from_point(P))
+        assert D.degree() == len(points)
+        assert J.act_on_class(G, g, D) == _pointwise_image(G, g, jac, points)
+
+
+def test_act_on_class_non_split_support_commutes_with_embedding(group5, jac54):
+    # classes over F_{5^4} whose u is irreducible: act there, then embed into
+    # F_{5^8} where u splits, and compare with embedding first and acting there
+    G = group5
+    f8 = make_field(5, 8)
+    jac8 = J.CurveJacobian(f8, 5)
+    emb = ff.embedding(jac54.field, f8)
+
+    def up(D):
+        return J.MumfordDivisor(f8, Poly(f8, [emb.apply(c) for c in D.u.coeffs]),
+                                Poly(f8, [emb.apply(c) for c in D.v.coeffs]))
+
+    rng = random.Random(9)
+    seen = 0
+    while seen < 8:
+        D = jac54.add(jac54.random_divisor(rng), jac54.random_divisor(rng))
+        if D.degree() != 2 or ff.sqrt(D.u[1] * D.u[1] - 4 * D.u[0]) is not None:
+            continue
+        seen += 1
+        g = rng.choice(G.elements)
+        image, D8 = up(J.act_on_class(G, g, D)), up(D)
+        assert image == J.act_on_class(G, g, D8)
+        points = [C.Point(r, D8.v.evaluate(r)) for r, _ in roots_with_multiplicity(D8.u)]
+        assert len(points) == 2
+        assert image == _pointwise_image(G, g, jac8, points)
 
 
 def test_torsion_basis_ell3(group5, torsion3):

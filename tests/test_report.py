@@ -89,7 +89,7 @@ def test_select_ells():
     assert select_ells(3, 10_000) == (5, 7) or select_ells(3, 10_000) == ()
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     with pytest.raises(UsageError):
         run_pipeline(4)
     with pytest.raises(UsageError):
@@ -102,6 +102,19 @@ def test_usage_errors():
         run_pipeline(5, PipelineOptions(ell=(2,)))     # even ell
     with pytest.raises(UsageError):
         run_pipeline(5, PipelineOptions(ell=(11,)))    # over the bound
+    for bad in (PipelineOptions(series_precision=0),
+                PipelineOptions(series_precision=-3),
+                PipelineOptions(series_precision=1),
+                PipelineOptions(ell_bound=-5),
+                PipelineOptions(ell=(3, 3))):
+        with pytest.raises(UsageError):
+            run_pipeline(5, bad)
+    # on the command line each is one line on stderr and exit status 2
+    for args in (["--precision", "0"], ["--precision", "-3"], ["--precision", "1"],
+                 ["--ell-bound", "-5"], ["--ell", "3,3"]):
+        assert main(["--prime", "5", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_skip_reason_at_scale():
