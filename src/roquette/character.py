@@ -52,12 +52,6 @@ def trivial_character(group: RoquetteGroup) -> ClassFunction:
     return ClassFunction(p=group.p, values=(1,) * len(group.conjugacy_classes))
 
 
-def regular_character(group: RoquetteGroup) -> ClassFunction:
-    vals = tuple(group.order if cls.rep == group.identity else 0
-                 for cls in group.conjugacy_classes)
-    return ClassFunction(p=group.p, values=vals)
-
-
 def inner_product(group: RoquetteGroup, f1: ClassFunction,
                   f2: ClassFunction) -> Fraction:
     """(1/|G|) sum over classes of size * f1 * f2 (real-valued characters)."""

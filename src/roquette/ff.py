@@ -45,7 +45,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
     out = []
     d = 2
     while d * d <= n:
@@ -139,7 +139,7 @@ def _zp_is_irreducible(f: list[int], p: int) -> bool:
     xq = _zp_pow_mod(x, p ** k, f, p)
     if xq != [0, 1]:
         return False
-    for q in _prime_factors(k):
+    for q in prime_factors(k):
         d = k // q
         g = _zp_pow_mod(x, p ** d, f, p)
         g = [(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)]
@@ -519,20 +519,6 @@ def sqrt(a: FieldElement):
         w = w * c
         m = i
     return min(r, -r, key=lambda e: e.coeffs)
-
-
-def sqrt_exhaustive(a: FieldElement, limit: int = 10 ** 6):
-    """Brute-force canonical square root; the independent oracle for sqrt.
-
-    Refuses to run above `limit` elements.
-    """
-    field = a.field
-    if field.order > limit:
-        raise ValueError(f"field of order {field.order} exceeds exhaustive limit {limit}")
-    for r in field.elements():
-        if r * r == a:
-            return min(r, -r, key=lambda e: e.coeffs)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ GroupElement = tuple  # (a, b, c, d, l0, l1), ints mod p
 @dataclass(frozen=True)
 class ConjClass:
     rep: GroupElement
-    members: tuple
     size: int
 
 
@@ -53,7 +52,6 @@ class RoquetteGroup:
         self._elements = None
         self._classes = None
         self._class_index = None
-        self._inverse_list = None
 
     # -- F_{p^2} scalar helpers on coefficient pairs -------------------------------
 
@@ -211,6 +209,18 @@ class RoquetteGroup:
 
     @property
     def conjugacy_classes(self) -> tuple:
+        """The conjugacy classes, each as the orbit of its representative.
+
+        The central involution conjugates trivially, and together with the
+        three conjugators of _conjugators it generates G; that is checked
+        once by closing the four under multiplication (RuntimeError if they
+        fall short).  So a class is the orbit of its representative under
+        x -> s x s^(-1) for s among the conjugators, filled by breadth-first
+        search (Holt, Eick, O'Brien, Handbook of Computational Group Theory,
+        section 4.1).  Representatives are the first element of each class
+        in the order of `elements`, and classes are listed in the order of
+        their representatives.
+        """
         if self._classes is None:
             self._compute_classes()
         return self._classes
@@ -222,29 +232,49 @@ class RoquetteGroup:
             self._compute_classes()
         return self._class_index
 
+    def _conjugators(self) -> tuple:
+        """The upper and lower unipotents and diag(r, 1), r the least
+        generator of F_p^x."""
+        p = self.p
+        r = next(x for x in range(2, p)
+                 if all(pow(x, (p - 1) // q, p) != 1 for q in ff.prime_factors(p - 1)))
+        return (self.unipotent(), (1, 0, 1, 1, 1, 0),
+                self.canonicalize(r, 0, 0, 1, *self._det_roots[r][0]))
+
+    def _check_generates(self, generators: tuple):
+        """Raise RuntimeError unless `generators` generate all of G."""
+        closure = {self.identity}
+        queue = [self.identity]
+        for x in queue:  # breadth-first: the loop also visits what it appends
+            for s in generators:
+                y = self.mul(x, s)
+                if y not in closure:
+                    closure.add(y)
+                    queue.append(y)
+        if len(closure) != self.order:
+            raise RuntimeError(
+                f"the generating set reaches only {len(closure)} of {self.order} elements")
+
     def _compute_classes(self):
-        elements = self.elements
-        if self._inverse_list is None:
-            self._inverse_list = [self.inv(g) for g in elements]
-        pairs = list(zip(elements, self._inverse_list))
+        mul = self.mul
+        conjugators = self._conjugators()
+        self._check_generates(conjugators + (self.involution,))
+        pairs = [(s, self.inv(s)) for s in conjugators]
         index: dict = {}
         classes = []
-        mul = self.mul
-        for h in elements:
+        for h in self.elements:
             if h in index:
                 continue
-            members_seen = set()
-            members = []
-            for g, gi in pairs:
-                m = mul(mul(g, h), gi)
-                if m not in members_seen:
-                    members_seen.add(m)
-                    members.append(m)
             ci = len(classes)
-            for m in members:
-                index[m] = ci
-            # members kept in discovery order; size is what matters downstream
-            classes.append(ConjClass(rep=h, members=tuple(members), size=len(members)))
+            index[h] = ci
+            orbit = [h]
+            for x in orbit:
+                for s, si in pairs:
+                    y = mul(mul(s, x), si)
+                    if y not in index:
+                        index[y] = ci
+                        orbit.append(y)
+            classes.append(ConjClass(rep=h, size=len(orbit)))
         self._classes = tuple(classes)
         self._class_index = index
 
@@ -264,10 +294,6 @@ class RoquetteGroup:
         if len(out) != self.p:
             raise RuntimeError("unipotent subgroup has wrong order")
         return tuple(out)
-
-    def proj_to_pgl(self, g: GroupElement) -> tuple:
-        """Image in PGL_2(F_p): the canonically scaled matrix part."""
-        return g[:4]
 
     def pgl_image(self) -> set:
         return {g[:4] for g in self.elements}
@@ -333,5 +359,5 @@ class RoquetteGroup:
 
 @functools.lru_cache(maxsize=None)
 def get_group(p: int) -> RoquetteGroup:
-    """Shared, cached group context (class data is expensive at p = 13)."""
+    """Shared, cached group context."""
     return RoquetteGroup(p)

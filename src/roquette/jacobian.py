@@ -399,32 +399,8 @@ def mat_mul(A, B, ell: int):
                        for j in range(n)) for i in range(n))
 
 
-def mat_det(A, ell: int) -> int:
-    n = len(A)
-    M = [list(row) for row in A]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] % ell), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det = (det * M[col][col]) % ell
-        inv = pow(M[col][col], ell - 2, ell)
-        for r in range(col + 1, n):
-            f = (M[r][col] * inv) % ell
-            if f:
-                M[r] = [(x - f * y) % ell for x, y in zip(M[r], M[col])]
-    return det % ell
-
-
 def mat_trace(A, ell: int) -> int:
     return sum(A[i][i] for i in range(len(A))) % ell
-
-
-def identity_matrix(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def rho_ell_traces(group: RoquetteGroup, basis: TorsionBasis) -> ClassFunction:

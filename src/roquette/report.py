@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, character, curve, jacobian
-from .ff import is_prime
+from .ff import is_prime, prime_factors
 from .group import get_group
 
 SCHEMA_VERSION = "1.0.0"
@@ -49,7 +49,7 @@ class PipelineOptions:
     ell_bound: int = 10_000
     seed: int = 0
     series_precision: int | None = None
-    max_prime: int = 13
+    max_prime: int = 31
     include_timings: bool = False
 
 
@@ -140,6 +140,8 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         raise UsageError(f"ell bound must be non-negative, got {options.ell_bound}")
     if options.ell is not None:
         ells = tuple(options.ell)
+        if not ells:
+            raise UsageError("the ell list is empty; leave it unset for automatic selection")
         if len(set(ells)) != len(ells):
             raise UsageError(f"ell = {list(ells)} names a prime more than once")
         for ell in ells:
@@ -169,10 +171,14 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
          counted=n_elements, expected=expected_order)
 
     sqrt_grp = G.sqrt_group_elements()
-    cyclic = any(_mult_order_in_field(el, 2 * (p - 1)) == 2 * (p - 1)
+    # every el^2 lies in F_p^x, so el has full order 2(p-1) unless one of
+    # its maximal proper powers el^(2(p-1)/q) is already 1
+    n_sqrt = 2 * (p - 1)
+    one = G.fp2.one()
+    cyclic = any(all(el ** (n_sqrt // q) != one for q in prime_factors(n_sqrt))
                  for el in sqrt_grp)
     mark("square_root_group",
-         len(sqrt_grp) == 2 * (p - 1) and cyclic,
+         len(sqrt_grp) == n_sqrt and cyclic,
          f"square roots of prime-field units form a cyclic group of order 2(p-1) = {2 * (p - 1)}",
          size=len(sqrt_grp), cyclic=cyclic)
 
@@ -369,18 +375,6 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         timings={k: round(v, 6) for k, v in timings.items()}
         if options.include_timings else None,
     )
-
-
-def _mult_order_in_field(el, bound: int) -> int:
-    one = el.field.one()
-    cur = el
-    n = 1
-    while cur != one:
-        cur = cur * el
-        n += 1
-        if n > bound:
-            return n
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ from roquette.character import ClassFunction
 from roquette.group import get_group
 
 
+def regular_character(group):
+    vals = tuple(group.order if cls.rep == group.identity else 0
+                 for cls in group.conjugacy_classes)
+    return ClassFunction(p=group.p, values=vals)
+
+
 # value -> total number of group elements with that character value, p = 5
 HAND_DERIVED_P5 = {4: 1, -4: 1, -1: 24, 1: 24, -2: 20, 2: 20, 0: 150}
 
@@ -69,7 +75,7 @@ def test_sylow_restriction(p):
     triv_mult, nontriv_mult = CH.sylow_restriction(G, chi)
     assert (triv_mult, nontriv_mult) == (0, 1)
     # regular character: trivial multiplicity |G| / p
-    reg = CH.regular_character(G)
+    reg = regular_character(G)
     assert CH.sylow_restriction(G, reg)[0] == len(G.elements) // p
 
 

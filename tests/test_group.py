@@ -21,6 +21,28 @@ def gl2_order(p):
     return (p * p - 1) * (p * p - p)
 
 
+def proj_to_pgl(g):
+    """Image in PGL_2(F_p): the canonically scaled matrix part."""
+    return g[:4]
+
+
+def _classes_by_full_conjugation(G):
+    """Oracle for the class partition: conjugate each new representative
+    by every element of G.  Returns the (rep, size) list and the element ->
+    class index map."""
+    pairs = [(g, G.inv(g)) for g in G.elements]
+    index = {}
+    classes = []
+    for h in G.elements:
+        if h in index:
+            continue
+        members = {G.mul(G.mul(g, h), gi) for g, gi in pairs}
+        for m in members:
+            index[m] = len(classes)
+        classes.append((h, len(members)))
+    return classes, index
+
+
 @pytest.mark.parametrize("p,expected", [(5, 240), (7, 672), (11, 2640), (13, 4368)])
 def test_group_order_by_enumeration(p, expected):
     G = get_group(p)
@@ -141,6 +163,26 @@ def test_conjugacy_partition(p):
         assert len(G.elements) % c.size == 0
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_classes_match_full_conjugation_oracle(p):
+    G = get_group(p)
+    reps_sizes, index = _classes_by_full_conjugation(G)
+    assert [(c.rep, c.size) for c in G.conjugacy_classes] == reps_sizes
+    assert G.class_index == index
+
+
+def test_classes_reject_a_non_generating_conjugator_set(monkeypatch):
+    # the upper unipotent alone generates a group of order 2p with the
+    # involution; its orbits would be far finer than the classes
+    monkeypatch.setattr(RoquetteGroup, "_conjugators",
+                        lambda self: (self.unipotent(),))
+    G = RoquetteGroup(5)
+    with pytest.raises(RuntimeError, match="only 10 of 240"):
+        G.conjugacy_classes
+    with pytest.raises(RuntimeError, match="only 14 of 672"):
+        RoquetteGroup(7).class_index
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_order_p_elements_single_class(p):
     G = get_group(p)
@@ -154,10 +196,13 @@ def test_order_p_elements_single_class(p):
 
 def test_class_members_consistent():
     G = get_group(5)
+    members = {}
+    for g in G.elements:
+        members.setdefault(G.class_of(g), []).append(g)
+    assert sorted(members) == list(range(len(G.conjugacy_classes)))
     for ci, c in enumerate(G.conjugacy_classes):
-        for m in c.members:
-            assert G.class_of(m) == ci
-        assert c.rep in c.members
+        assert len(members[ci]) == c.size
+        assert c.rep in members[ci]
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -167,8 +212,9 @@ def test_sylow_subgroup(p):
     assert len(N) == p
     assert set(N) == {G.power(G.unipotent(), i) for i in range(p)}
     # every order-p element is conjugate into N
-    cls = next(c for c in G.conjugacy_classes if G.element_order(c.rep) == p)
-    assert any(m in set(N) for m in cls.members)
+    ci = next(i for i, c in enumerate(G.conjugacy_classes)
+              if G.element_order(c.rep) == p)
+    assert any(G.class_of(n) == ci for n in N)
 
 
 def test_sylow_intersection_trivial_or_all():
@@ -189,12 +235,12 @@ def test_pgl_projection(p):
     assert len(img) == p * (p * p - 1)
     ker = G.kernel_of_projection()
     assert ker == {G.identity, G.involution}
-    assert G.proj_to_pgl(G.involution) == (1, 0, 0, 1)
+    assert proj_to_pgl(G.involution) == (1, 0, 0, 1)
     # homomorphism property on the canonical scaling
     rng = random.Random(6)
     for _ in range(200):
         g, h = rng.choice(G.elements), rng.choice(G.elements)
-        assert G.proj_to_pgl(G.mul(g, h)) == G.mul(g, h)[:4]
+        assert proj_to_pgl(G.mul(g, h)) == G.mul(g, h)[:4]
 
 
 def test_involution_is_central():

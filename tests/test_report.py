@@ -95,7 +95,7 @@ def test_usage_errors(capsys):
     with pytest.raises(UsageError):
         run_pipeline(3)
     with pytest.raises(UsageError):
-        run_pipeline(17)  # beyond default max_prime
+        run_pipeline(37)  # beyond default max_prime
     with pytest.raises(UsageError):
         run_pipeline(5, PipelineOptions(ell=(5,)))     # ell = p
     with pytest.raises(UsageError):
@@ -106,12 +106,13 @@ def test_usage_errors(capsys):
                 PipelineOptions(series_precision=-3),
                 PipelineOptions(series_precision=1),
                 PipelineOptions(ell_bound=-5),
-                PipelineOptions(ell=(3, 3))):
+                PipelineOptions(ell=(3, 3)),
+                PipelineOptions(ell=())):
         with pytest.raises(UsageError):
             run_pipeline(5, bad)
     # on the command line each is one line on stderr and exit status 2
     for args in (["--precision", "0"], ["--precision", "-3"], ["--precision", "1"],
-                 ["--ell-bound", "-5"], ["--ell", "3,3"]):
+                 ["--ell-bound", "-5"], ["--ell", "3,3"], ["--ell", ""]):
         assert main(["--prime", "5", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -124,6 +125,17 @@ def test_skip_reason_at_scale():
     assert "scale" in skip.claim
     assert report.verdict["lifts"] == "obstructed"
     assert report.exit_code == 0
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 31])
+def test_wide_prime_range_obstructed(p):
+    report = run_pipeline(p)
+    assert report.character_block["inner_product"] == 1
+    assert report.character_block["fs_indicator"] == -1
+    skip = next(c for c in report.checks if c.name == "ell_witness")
+    assert skip.status == "skipped" and "scale" in skip.claim
+    assert report.failed == []
+    assert report.verdict["lifts"] == "obstructed"
 
 
 def test_verdict_monotone_under_fault_injection(group5):
