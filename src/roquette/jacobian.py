@@ -179,59 +179,6 @@ class CurveJacobian:
             picked += 1
         return acc
 
-    def enumerate_reduced(self, cap: int = 500_000) -> list:
-        """Every reduced divisor class; the brute-force order oracle.
-
-        Only practical for tiny fields and genus <= 2 (the cap guards the
-        degree-2 double loop).
-        """
-        if self.genus > 2:
-            raise ValueError("exhaustive enumeration supported up to genus 2")
-        q = self.field.order
-        if q * q > cap:
-            raise ValueError(f"enumeration of ~{q * q} pairs exceeds cap {cap}")
-        field = self.field
-        out = [self.zero()]
-        # degree 1: points (a, b) with b^2 = f(a)
-        for a in field.elements():
-            val = self.f.evaluate(a)
-            if val.is_zero():
-                out.append(self.from_point(curve.Point(a, field.zero())))
-            else:
-                b = ff.sqrt(val)
-                if b is not None:
-                    out.append(self.from_point(curve.Point(a, b)))
-                    out.append(self.from_point(curve.Point(a, -b)))
-        if self.genus < 2:
-            return out
-        # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with v^2 = f mod u
-        mul = field._mul_coeffs
-        two = field.element(2).coeffs
-        for u1e in field.elements():
-            u1 = u1e.coeffs
-            for u0e in field.elements():
-                u0 = u0e.coeffs
-                u = Poly(field, (u0e, u1e, field.one()))
-                fr = self.f % u
-                fr0, fr1 = fr[0].coeffs, fr[1].coeffs
-                for v1e in field.elements():
-                    v1 = v1e.coeffs
-                    v1sq = mul(v1, v1)
-                    # v^2 mod u = (2 v1 v0 - v1^2 u1) x + (v0^2 - v1^2 u0)
-                    t1 = mul(v1sq, u1)
-                    t0 = mul(v1sq, u0)
-                    for v0e in field.elements():
-                        v0 = v0e.coeffs
-                        c1 = tuple((a - b) % field.p
-                                   for a, b in zip(mul(two, mul(v1, v0)), t1))
-                        if c1 != fr1:
-                            continue
-                        c0 = tuple((a - b) % field.p
-                                   for a, b in zip(mul(v0, v0), t0))
-                        if c0 == fr0:
-                            out.append(MumfordDivisor(field, u, Poly(field, (v0e, v1e))))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Acting on divisor classes
@@ -288,13 +235,38 @@ def act_on_class(group: RoquetteGroup, g, D: MumfordDivisor) -> MumfordDivisor:
 
 @dataclass(frozen=True)
 class TorsionBasis:
+    """A basis of the full ell-torsion with its discrete-log table.
+
+    `table` maps each of the ell^(2g-1) classes in the span of basis[:-1]
+    to its coordinates there, and giant_steps[c] = -c * basis[-1] for
+    c = 0 .. ell-1.  As basis[-1] has order ell and lies outside that
+    span, a class E of the full span meets the table at E + giant_steps[c]
+    for exactly one c, which is its last coordinate.
+    """
     ell: int
     m: int
     field: FieldDescriptor
     jacobian_order: int
     basis: tuple
-    span: dict  # divisor key -> coordinate tuple mod ell
+    table: dict  # divisor key -> coordinates along basis[:-1], mod ell
+    giant_steps: tuple
     seed: int
+
+    @property
+    def span_size(self) -> int:
+        """ell^len(basis): each basis vector has order ell and lies outside
+        the span of the vectors before it."""
+        return self.ell ** len(self.basis)
+
+    def coordinates(self, E: MumfordDivisor) -> tuple:
+        """Coordinates of E in the basis, at most ell - 1 Cantor additions."""
+        jac = CurveJacobian(self.field, self.field.p)
+        for c, step in enumerate(self.giant_steps):
+            vec = self.table.get((jac.add(E, step) if c else E).key())
+            if vec is not None:
+                return vec + (c,)
+        raise RuntimeError("image of a torsion class left the span; "
+                           "the torsion module is not stable as computed")
 
 
 def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
@@ -303,9 +275,11 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
 
     Random classes over F_{p^(2m)} are multiplied by the prime-to-ell part
     of the Jacobian order, stripped to exact order ell, and kept when they
-    extend the span; the span (all ell^(2g) combinations) is enumerated
-    exhaustively, which doubles as the discrete-log table for expressing
-    images in the basis.
+    lie outside the span of the vectors kept so far.  That span is
+    enumerated as the coordinate table, up to but not including the last
+    vector: ell^(2g-1) classes.  The last vector enters only through its
+    ell multiples -c * basis[-1], the giant steps of the lookup in
+    `TorsionBasis.coordinates`.
     """
     p = group.p
     if not ff.is_prime(ell):
@@ -333,8 +307,8 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     jac = CurveJacobian(field, p)
     rng = random.Random(seed * 1_000_003 + ell)
     zero = jac.zero()
-    span = {zero.key(): (0,) * g2}
-    span_divisors = {zero.key(): zero}
+    entries = [(zero, (0,) * (g2 - 1))]  # the table's classes and coordinates
+    table = {zero.key(): entries[0][1]}
     basis: list = []
     attempts = 0
     while len(basis) < g2:
@@ -351,45 +325,36 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
             if F_next.is_zero():
                 break
             E = F_next
-        if E.key() in span:
+        if E.key() in table:
             continue
-        # extend the span by the new generator
-        idx = len(basis)
         basis.append(E)
-        new_span = dict(span)
-        new_divs = dict(span_divisors)
-        cur = {k: (span_divisors[k], span[k]) for k in span}
+        if len(basis) == g2:
+            break
+        # extend the table by E: ell - 1 translates of the table so far
+        idx = len(basis) - 1
+        layer = entries
         for c in range(1, ell):
-            nxt = {}
-            for _, (Dv, vec) in cur.items():
-                S = jac.add(Dv, E)
-                nv = vec[:idx] + (c,) + vec[idx + 1:]
-                nxt[S.key()] = (S, nv)
-            for key, (S, nv) in nxt.items():
-                new_span[key] = nv
-                new_divs[key] = S
-            cur = nxt
-        span = new_span
-        span_divisors = new_divs
-    if len(span) != ell ** g2:
+            layer = [(jac.add(S, E), vec[:idx] + (c,) + vec[idx + 1:])
+                     for S, vec in layer]
+            table.update((S.key(), vec) for S, vec in layer)
+            entries = entries + layer
+    if len(table) != ell ** (g2 - 1):
         raise RuntimeError(
-            f"span has {len(span)} classes, expected {ell ** g2}")
+            f"table has {len(table)} classes, expected {ell ** (g2 - 1)}")
+    back = jac.neg(basis[-1])
+    giant_steps = [zero, back]
+    while len(giant_steps) < ell:
+        giant_steps.append(jac.add(giant_steps[-1], back))
     return TorsionBasis(ell=ell, m=m, field=field, jacobian_order=n_jac,
-                        basis=tuple(basis), span=span, seed=seed)
+                        basis=tuple(basis), table=table,
+                        giant_steps=tuple(giant_steps), seed=seed)
 
 
 def rep_matrix(group: RoquetteGroup, g, basis: TorsionBasis) -> tuple:
     """Matrix (rows) of g on the ell-torsion in the given basis."""
     ell = basis.ell
     g2 = len(basis.basis)
-    cols = []
-    for D in basis.basis:
-        E = act_on_class(group, g, D)
-        vec = basis.span.get(E.key())
-        if vec is None:
-            raise RuntimeError("image of a torsion class left the span; "
-                               "the torsion module is not stable as computed")
-        cols.append(vec)
+    cols = [basis.coordinates(act_on_class(group, g, D)) for D in basis.basis]
     return tuple(tuple(cols[j][i] % ell for j in range(g2)) for i in range(g2))
 
 

@@ -305,26 +305,32 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
                   f"ell^(2g) within the bound {options.ell_bound} at p = {p}",
             data={"bound": options.ell_bound}))
     for ell in ells:
-        basis = jacobian.torsion_basis(G, ell, seed=options.seed,
-                                       bound=options.ell_bound)
-        traces = jacobian.rho_ell_traces(G, basis)
+        try:
+            basis = jacobian.torsion_basis(G, ell, seed=options.seed,
+                                           bound=options.ell_bound)
+            traces = jacobian.rho_ell_traces(G, basis)
+        except RuntimeError as exc:
+            mark(f"ell_witness_{ell}", False,
+                 f"the torsion representation mod {ell} could not be computed",
+                 ell=ell, error=str(exc))
+            continue
         traces_by_ell[ell] = traces
         congruent = all((cv - tv) % ell == 0
                         for cv, tv in zip(chi.values, traces.values))
         mark(f"ell_witness_{ell}", congruent,
              f"the torsion representation mod {ell} (basis spanning "
-             f"{len(basis.span)} classes over the degree-{2 * basis.m} "
+             f"{basis.span_size} classes over the degree-{2 * basis.m} "
              f"extension) has per-class traces congruent to the cohomology character",
              ell=ell, m=basis.m, field_degree=2 * basis.m,
              jacobian_order=basis.jacobian_order,
-             span=len(basis.span), traces=list(traces.values))
+             span=basis.span_size, traces=list(traces.values))
         ell_witness.append({
             "ell": ell,
             "m": basis.m,
             "field_degree": 2 * basis.m,
             "jacobian_order": basis.jacobian_order,
             "basis_size": len(basis.basis),
-            "span": len(basis.span),
+            "span": basis.span_size,
             "traces": list(traces.values),
             "congruent": congruent,
         })
@@ -347,6 +353,12 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
             data={"moduli": sorted(traces_by_ell)}))
         crt_block = {"status": "skipped", "moduli": sorted(traces_by_ell),
                      "reason": "moduli product too small"}
+    elif ells:
+        checks.append(Check(
+            name="crt_reconstruction", status="skipped",
+            claim="reconstruction skipped (witness failed): no ell produced torsion traces",
+            data={"moduli": []}))
+        crt_block = {"status": "skipped", "moduli": [], "reason": "witness failed"}
     else:
         crt_block = {"status": "skipped", "moduli": [], "reason": "scale"}
     timings["ell_witness"] = time.monotonic() - t0

@@ -1,9 +1,10 @@
-"""Golden reports: the default JSON report at seed 0 for p = 11, 13 and 29,
-regenerated and compared byte for byte with the committed files.
+"""Golden reports: the default JSON report at seed 0 for p = 5, 7, 11, 13
+and 29, regenerated and compared byte for byte with the committed files.
 
-Only `tool.python` is normalised, since it names the interpreter.  These
-primes skip the torsion witness, so the runs are quick; the group, point,
-character and wild-series stages are all pinned.
+Only `tool.python` is normalised, since it names the interpreter.  At
+p = 5 and 7 the torsion witness runs, so the sampled basis and every
+trace are pinned too; the larger primes skip it, and pin the group,
+point, character and wild-series stages.
 """
 
 import re
@@ -21,7 +22,7 @@ def _normalised(raw: bytes) -> bytes:
     return PYTHON_FIELD.sub(b'"python": ""', raw, count=1)
 
 
-@pytest.mark.parametrize("p", [11, 13, 29])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
 def test_report_matches_golden(p):
     expected = (GOLDEN / f"p{p}.json").read_bytes()
     assert PYTHON_FIELD.search(expected)

@@ -1,6 +1,7 @@
 """Jacobian arithmetic, torsion bases, representation matrices, and the
 trace congruences that realize independence-of-ell at finite level."""
 
+import dataclasses
 import random
 
 import pytest
@@ -91,8 +92,8 @@ def test_point_plus_involute_cancels(jac25):
         assert jac25.add(P, Q).is_zero()
 
 
-def test_exhaustive_jacobian_order(jac25):
-    divisors = jac25.enumerate_reduced()
+def test_exhaustive_jacobian_order(jac25, classes_f25):
+    divisors = classes_f25
     assert len(divisors) == 256
     assert len({D.key() for D in divisors}) == 256
     for D in divisors[:50]:
@@ -208,7 +209,7 @@ def test_torsion_basis_ell3(group5, torsion3):
     assert tb.field == make_field(5, 4)
     assert tb.jacobian_order == 331776
     assert len(tb.basis) == 4
-    assert len(tb.span) == 81
+    assert tb.span_size == 81 and len(tb.table) == 27
     jac = J.CurveJacobian(tb.field, 5)
     for D in tb.basis:
         assert not D.is_zero()
@@ -220,10 +221,68 @@ def test_torsion_basis_ell7(group5, torsion7):
     assert tb.ell == 7 and tb.m == 6
     assert tb.field == make_field(5, 12)
     assert len(tb.basis) == 4
-    assert len(tb.span) == 2401
+    assert tb.span_size == 2401 and len(tb.table) == 343
     jac = J.CurveJacobian(tb.field, 5)
     for D in tb.basis:
         assert jac.scalar_mul(7, D).is_zero() and not D.is_zero()
+
+
+@pytest.fixture(scope="module")
+def torsion3_p7(group7):
+    return J.torsion_basis(group7, 3, seed=0)
+
+
+def _full_span(tb):
+    """The oracle: every class of the span with its coordinates, by
+    enumerating all ell^len(basis) combinations of the basis."""
+    jac = J.CurveJacobian(tb.field, tb.field.p)
+    n = len(tb.basis)
+    entries = [(jac.zero(), (0,) * n)]
+    for idx, E in enumerate(tb.basis):
+        layer = entries
+        for c in range(1, tb.ell):
+            layer = [(jac.add(D, E), vec[:idx] + (c,) + vec[idx + 1:])
+                     for D, vec in layer]
+            entries = entries + layer
+    return {D.key(): (D, vec) for D, vec in entries}
+
+
+@pytest.mark.parametrize("name,size", [("torsion3", 81), ("torsion3_p7", 729)])
+def test_coordinates_match_full_span_oracle(request, name, size):
+    tb = request.getfixturevalue(name)
+    span = _full_span(tb)
+    assert len(span) == size == tb.span_size
+    for D, vec in span.values():
+        assert tb.coordinates(D) == vec
+
+
+def test_coordinates_of_random_combinations_ell7(torsion7):
+    tb = torsion7
+    jac = J.CurveJacobian(tb.field, 5)
+    multiples = []
+    for B in tb.basis:
+        row = [jac.zero(), B]
+        while len(row) < 7:
+            row.append(jac.add(row[-1], B))
+        multiples.append(row)
+    rng = random.Random(77)
+    for _ in range(20):
+        coords = tuple(rng.randrange(7) for _ in tb.basis)
+        E = jac.zero()
+        for c, row in zip(coords, multiples):
+            E = jac.add(E, row[c])
+        assert tb.coordinates(E) == coords
+
+
+def test_class_missing_from_the_table_left_the_span(group5, torsion3):
+    # the involution sends basis[0] to -basis[0], a class of the table
+    tb = torsion3
+    minus_b0 = J.CurveJacobian(tb.field, 5).neg(tb.basis[0])
+    table = dict(tb.table)
+    del table[minus_b0.key()]
+    broken = dataclasses.replace(tb, table=table)
+    with pytest.raises(RuntimeError, match="left the span"):
+        J.rep_matrix(group5, group5.involution, broken)
 
 
 def test_torsion_rejects_bad_ell(group5):
@@ -314,13 +373,12 @@ def test_crt_bound_checks(group5, traces3):
         J.crt_reconstruct(5, {3: bad3, 7: bad7})
 
 
-def test_torsion_witness_p7_ell3():
+def test_torsion_witness_p7_ell3(group7, torsion3_p7):
     # genus 3: degree-3 Mumford polynomials and cubic splitting fields
-    G = get_group(7)
-    tb = J.torsion_basis(G, 3, seed=0)
+    G, tb = group7, torsion3_p7
     assert tb.m == 2 and tb.field == make_field(7, 4)
     assert len(tb.basis) == 6
-    assert len(tb.span) == 729
+    assert tb.span_size == 729 and len(tb.table) == 243
     chi = CH.lefschetz_character(G)
     traces = J.rho_ell_traces(G, tb)
     for cv, tv in zip(chi.values, traces.values):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from roquette import character as CH
+from roquette import jacobian
 from roquette.character import ObstructionVerdict
 from roquette.cli import main
 from roquette.report import (PipelineOptions, UsageError, emit, final_verdict,
@@ -27,6 +28,65 @@ def test_all_checks_pass_at_p5(report5):
     assert statuses["crt_reconstruction"] == "skipped"  # product 3 < 2(p-1)
     assert report5.verdict["lifts"] == "obstructed"
     assert report5.exit_code == 0
+
+
+BASE_CHECKS = [
+    "group_order", "square_root_group", "pgl_projection", "sylow_unipotent",
+    "point_count_base", "point_count_quadratic", "hasse_weil_sharp",
+    "char_degree", "char_involution", "char_order_p", "char_integral",
+    "char_irreducible", "sylow_multiplicities", "fs_indicator", "char_faithful",
+    "char_sign_rule", "wild_multiplicities",
+]
+
+
+def test_check_names_and_order(report5):
+    assert [c.name for c in report5.checks] == BASE_CHECKS + [
+        "ell_witness_3", "crt_reconstruction", "verdict_obstructed"]
+
+
+def test_witness_failure_becomes_a_failed_check(monkeypatch):
+    real = jacobian.torsion_basis
+
+    def fails_at_7(G, ell, **kwargs):
+        if ell == 7:
+            raise RuntimeError("torsion basis search did not converge")
+        return real(G, ell, **kwargs)
+
+    monkeypatch.setattr(jacobian, "torsion_basis", fails_at_7)
+    report = run_pipeline(5)
+    assert [c.name for c in report.checks] == BASE_CHECKS + [
+        "ell_witness_3", "ell_witness_7", "crt_reconstruction", "verdict_obstructed"]
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["ell_witness_3"] == "pass"
+    assert [c.name for c in report.failed] == ["ell_witness_7", "verdict_obstructed"]
+    assert report.failed[0].data == {
+        "ell": 7, "error": "torsion basis search did not converge"}
+    # the failed ell stays out of the witness block and the CRT
+    assert [w["ell"] for w in report.ell_witness] == [3]
+    assert report.crt_block == {"status": "skipped", "moduli": [3],
+                                "reason": "moduli product too small"}
+    assert report.verdict["lifts"] == "not determined"
+    assert report.exit_code == 1
+
+
+def test_cli_reports_a_failed_witness(monkeypatch, capsys):
+    def left_the_span(G, basis):
+        raise RuntimeError("image of a torsion class left the span")
+
+    monkeypatch.setattr(jacobian, "rho_ell_traces", left_the_span)
+    assert main(["--prime", "5", "--ell", "3", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert [c["name"] for c in doc["checks"]] == BASE_CHECKS + [
+        "ell_witness_3", "crt_reconstruction", "verdict_obstructed"]
+    failed = {c["name"]: c for c in doc["checks"] if c["status"] == "fail"}
+    assert set(failed) == {"ell_witness_3", "verdict_obstructed"}
+    assert failed["ell_witness_3"]["data"]["error"] == (
+        "image of a torsion class left the span")
+    assert doc["ell_witness"] == []
+    assert doc["crt"] == {"status": "skipped", "moduli": [], "reason": "witness failed"}
+    assert doc["verdict"]["lifts"] == "not determined"
+    assert "FAILED: ell_witness_3" in captured.err
 
 
 def test_every_check_carries_claim_and_status(report5):
