@@ -7,21 +7,19 @@ explicit finite fields; no floating point is used anywhere.
 
 __version__ = "0.1.0"
 
-from .ff import FieldDescriptor, FieldElement, make_field, legendre, sqrt  # noqa: E402
+from .ff import FieldDescriptor, FieldElement, make_field, sqrt  # noqa: E402
 from .group import RoquetteGroup, get_group  # noqa: E402
-from .character import lefschetz_character, schur_obstruction_verdict  # noqa: E402
+from .character import lefschetz_character  # noqa: E402
 from .report import run_pipeline, emit, PipelineOptions  # noqa: E402
 
 __all__ = [
     "FieldDescriptor",
     "FieldElement",
     "make_field",
-    "legendre",
     "sqrt",
     "RoquetteGroup",
     "get_group",
     "lefschetz_character",
-    "schur_obstruction_verdict",
     "run_pipeline",
     "emit",
     "PipelineOptions",

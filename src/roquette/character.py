@@ -7,13 +7,14 @@ scheme of any representative, and the value at the identity is 2g = p-1.
 All downstream arithmetic (inner products, restriction multiplicities,
 the Frobenius-Schur indicator) is done in exact rationals.
 
-The certifying chain for the final verdict: an irreducible character with
-integer values and Frobenius-Schur indicator -1 belongs to a quaternionic
-representation, so its Schur index over Q is 2, and a multiplicity-one
-integer character of Schur index 2 cannot come from a representation
-defined over Q.  Combined with the specialization theory of fundamental
-groups, that obstructs lifting the associated quotient variety to
-characteristic 0.
+These functions compute the facts the verdict rests on: an irreducible
+character with integer values and Frobenius-Schur indicator -1 belongs to
+a quaternionic representation, so its Schur index over Q is 2, and a
+multiplicity-one integer character of Schur index 2 cannot come from a
+representation defined over Q.  Combined with the specialization theory
+of fundamental groups, that obstructs lifting the associated quotient
+variety to characteristic 0.  The verdict itself is decided once, in
+report.final_verdict, from the values the report's checks computed here.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ def lefschetz_character(group: RoquetteGroup,
         else:
             vals.append(2 - curve.fixed_scheme_degree(group, cls.rep, precision))
     return ClassFunction(p=group.p, values=tuple(vals))
-
-
-def trivial_character(group: RoquetteGroup) -> ClassFunction:
-    return ClassFunction(p=group.p, values=(1,) * len(group.conjugacy_classes))
 
 
 def inner_product(group: RoquetteGroup, f1: ClassFunction,
@@ -103,55 +100,3 @@ def kernel_of_character(group: RoquetteGroup, chi: ClassFunction) -> set:
     chi1 = chi.values[group.class_of(group.identity)]
     kernel_classes = {i for i, v in enumerate(chi.values) if v == chi1}
     return {g for g in group.elements if group.class_of(g) in kernel_classes}
-
-
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    integer_valued: bool
-    irreducible: bool
-    fs_indicator: int | Fraction
-    schur_index_witness: int | None  # 2, or None when not witnessed
-    rationality_class_nontrivial: bool
-    lifts: str  # "obstructed" | "not determined"
-
-    def as_dict(self) -> dict:
-        nu = self.fs_indicator
-        return {
-            "integer_valued": self.integer_valued,
-            "irreducible": self.irreducible,
-            "fs_indicator": int(nu) if isinstance(nu, Fraction) and nu.denominator == 1
-            else (nu if isinstance(nu, int) else [nu.numerator, nu.denominator]),
-            "schur_index_witness": self.schur_index_witness,
-            "rationality_class_nontrivial": self.rationality_class_nontrivial,
-            "lifts": self.lifts,
-        }
-
-
-def schur_obstruction_verdict(group: RoquetteGroup,
-                              chi: ClassFunction) -> ObstructionVerdict:
-    """Combine integrality, irreducibility and the indicator into a verdict.
-
-    schur_index_witness is set to 2 exactly when the character is integer
-    valued, irreducible and quaternionic (indicator -1): the underlying
-    division algebra is then a quaternion algebra, the index is 2, and a
-    multiplicity-one character is not divisible by it, so the obstruction
-    class is nontrivial and the lift is blocked.
-    """
-    integer_valued = all(
-        isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-        for v in chi.values)
-    irreducible = inner_product(group, chi, chi) == 1
-    nu = fs_indicator(group, chi)
-    if nu.denominator == 1:
-        nu_out: int | Fraction = int(nu)
-    else:
-        nu_out = nu
-    witnessed = integer_valued and irreducible and nu_out == -1
-    return ObstructionVerdict(
-        integer_valued=integer_valued,
-        irreducible=irreducible,
-        fs_indicator=nu_out,
-        schur_index_witness=2 if witnessed else None,
-        rationality_class_nontrivial=witnessed,
-        lifts="obstructed" if witnessed else "not determined",
-    )

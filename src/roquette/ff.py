@@ -447,27 +447,8 @@ def make_field(p: int, k: int) -> FieldDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic residues and square roots
+# Square roots
 # ---------------------------------------------------------------------------
-
-def legendre(a, p: int | None = None) -> int:
-    """Legendre symbol on the prime field: 0, +1 or -1.
-
-    Accepts a prime-field FieldElement, or an int together with p.
-    """
-    if isinstance(a, FieldElement):
-        if a.field.k != 1:
-            raise ValueError("legendre symbol is defined on the prime field only")
-        p = a.field.p
-        a = a.coeffs[0]
-    elif p is None:
-        raise ValueError("p required for integer input")
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
-
 
 def _nonresidue(field: FieldDescriptor) -> FieldElement:
     if field._nonresidue is None:
@@ -567,37 +548,15 @@ class Embedding:
 def _lex_min_root(modulus: tuple[int, ...], target: FieldDescriptor) -> FieldElement:
     """Lexicographically smallest root of an F_p-irreducible modulus in target.
 
-    One root is found by equal-degree splitting; the full root set is its
-    Frobenius orbit, so the lex-minimum is independent of the randomness.
+    The modulus splits into distinct linear factors in target, so
+    equal-degree splitting returns every root (the Frobenius orbit of any
+    one of them), and the minimum is independent of the randomness.
     """
-    from .poly import Poly
+    from .poly import Poly, roots_of_split
 
-    s = len(modulus) - 1
     f = Poly(target, tuple(target.element(c) for c in modulus))
-    rng = random.Random(target.order * s + target.k)
-    root = _split_to_root(f, rng)
-    orbit = [root]
-    cur = root
-    for _ in range(s - 1):
-        cur = cur ** target.p
-        orbit.append(cur)
-    return min(orbit, key=lambda e: e.coeffs)
-
-
-def _split_to_root(f, rng: random.Random):
-    """One root of a squarefree polynomial that splits into linear factors."""
-    from .poly import Poly
-
-    field = f.field
-    while f.degree() > 1:
-        shift = field.random_element(rng)
-        x_plus = Poly(field, (shift, field.one()))
-        probe = x_plus.pow_mod((field.order - 1) // 2, f) - Poly.one(field)
-        d = probe.gcd(f)
-        if 0 < d.degree() < f.degree():
-            f = d if d.degree() <= f.degree() - d.degree() else f.exact_div(d)
-    c0, c1 = f.coeffs
-    return -(c0 / c1)
+    rng = random.Random(target.order * (len(modulus) - 1) + target.k)
+    return min(roots_of_split(f, rng), key=lambda e: e.coeffs)
 
 
 @functools.lru_cache(maxsize=None)

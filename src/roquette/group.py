@@ -347,15 +347,6 @@ class RoquetteGroup:
             raise RuntimeError("wild normal form has non-unit lambda")
         return rb, (1 if rl0 == 1 else -1)
 
-    # -- statistics ------------------------------------------------------------------------------
-
-    def order_statistics(self) -> dict:
-        counts: dict[int, int] = {}
-        for cls in self.conjugacy_classes:
-            n = self.element_order(cls.rep)
-            counts[n] = counts.get(n, 0) + cls.size
-        return counts
-
 
 @functools.lru_cache(maxsize=None)
 def get_group(p: int) -> RoquetteGroup:

@@ -207,7 +207,7 @@ def roots_with_multiplicity(f: Poly, rng: random.Random | None = None):
     # restrict to roots in this field
     xq = Poly.x(field).pow_mod(field.order, sqfree)
     split_part = sqfree.gcd(xq - Poly.x(field))
-    roots = sorted(_all_roots_of_split(split_part, rng), key=lambda e: e.coeffs)
+    roots = sorted(roots_of_split(split_part, rng), key=lambda e: e.coeffs)
     out = []
     for r in roots:
         lin = Poly(field, (-r, field.one()))
@@ -223,7 +223,7 @@ def roots_with_multiplicity(f: Poly, rng: random.Random | None = None):
     return out
 
 
-def _all_roots_of_split(f: Poly, rng: random.Random):
+def roots_of_split(f: Poly, rng: random.Random):
     """Roots of a squarefree product of linear factors."""
     deg = f.degree()
     if deg <= 0:
@@ -249,4 +249,4 @@ def _all_roots_of_split(f: Poly, rng: random.Random):
         probe = Poly(field, (shift, field.one())).pow_mod(half, f) - one
         d = probe.gcd(f)
         if 0 < d.degree() < f.degree():
-            return _all_roots_of_split(d, rng) + _all_roots_of_split(f.exact_div(d), rng)
+            return roots_of_split(d, rng) + roots_of_split(f.exact_div(d), rng)

@@ -9,6 +9,11 @@ The report separates what the machine actually verified (counts, traces,
 inner products) from the standard theory the final inference leans on
 (specialization of fundamental groups, the classification of quaternion
 algebras, Honda-Tate); the latter is listed, never recomputed.
+
+The verdict is decided in one place, final_verdict, from the integrality,
+norm and Frobenius-Schur indicator that the char_integral,
+char_irreducible and fs_indicator checks already computed, together with
+whether any check failed.
 """
 
 from __future__ import annotations
@@ -113,12 +118,25 @@ def select_ells(p: int, bound: int) -> tuple:
     return tuple(out)
 
 
-def final_verdict(base: character.ObstructionVerdict, any_failures: bool) -> dict:
-    """The verdict is monotone: any failed check blocks 'obstructed'."""
-    out = base.as_dict()
-    if any_failures or base.schur_index_witness != 2:
-        out["lifts"] = "not determined"
-    return out
+def final_verdict(integer_valued: bool, norm: Fraction, fs_indicator: Fraction,
+                  any_failures: bool) -> dict:
+    """Decide the obstruction from the facts the checks computed.
+
+    An integer-valued character of norm 1 with Frobenius-Schur indicator
+    -1 is quaternionic, so its Schur index over Q is 2; a multiplicity-one
+    character is not divisible by that index, so it is not realizable over
+    Q and the lift is blocked.  The verdict is monotone: any failed check
+    blocks 'obstructed'.
+    """
+    witnessed = integer_valued and norm == 1 and fs_indicator == -1
+    return {
+        "integer_valued": integer_valued,
+        "irreducible": norm == 1,
+        "fs_indicator": _json_num(fs_indicator),
+        "schur_index_witness": 2 if witnessed else None,
+        "rationality_class_nontrivial": witnessed,
+        "lifts": "obstructed" if witnessed and not any_failures else "not determined",
+    }
 
 
 def run_pipeline(p: int, options: PipelineOptions | None = None) -> VerificationReport:
@@ -191,9 +209,12 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
          expected_image=p * (p * p - 1))
 
     classes = G.conjugacy_classes
-    stats = G.order_statistics()
-    order_p_classes = [c for c in classes
-                       if G.is_wild(c.rep) and G.element_order(c.rep) == p]
+    class_orders = [G.element_order(c.rep) for c in classes]
+    stats: dict = {}
+    for c, n in zip(classes, class_orders):
+        stats[n] = stats.get(n, 0) + c.size
+    order_p_classes = [c for c, n in zip(classes, class_orders)
+                       if G.is_wild(c.rep) and n == p]
     sylow = G.sylow_p_subgroup()
     mark("sylow_unipotent",
          len(sylow) == p and stats.get(p, 0) == p * p - 1
@@ -246,10 +267,10 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     mark("char_order_p", n_chi == -1,
          "order-p elements have trace -1 (fixed-point multiplicity 3 at infinity)",
          value=n_chi)
-    mark("char_integral",
-         all(isinstance(v, int) for v in chi.values),
-         "every character value is a rational integer",
-         values=list(chi.values))
+    integral = mark("char_integral",
+                    all(isinstance(v, int) for v in chi.values),
+                    "every character value is a rational integer",
+                    values=list(chi.values))
     ip = character.inner_product(G, chi, chi)
     mark("char_irreducible", ip == 1,
          "the character has norm 1, hence is absolutely irreducible",
@@ -287,7 +308,7 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     character_block = {
         "values": list(chi.values),
         "class_sizes": [c.size for c in classes],
-        "class_orders": [G.element_order(c.rep) for c in classes],
+        "class_orders": class_orders,
         "inner_product": _json_num(ip),
         "fs_indicator": _json_num(nu),
         "sylow_multiplicities": [_json_num(triv_mult), _json_num(nontriv_mult)],
@@ -364,9 +385,8 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     timings["ell_witness"] = time.monotonic() - t0
 
     # -- verdict ------------------------------------------------------------------------
-    base = character.schur_obstruction_verdict(G, chi)
-    any_failures = any(c.status == "fail" for c in checks)
-    verdict = final_verdict(base, any_failures)
+    verdict = final_verdict(integral, ip, nu,
+                            any(c.status == "fail" for c in checks))
     mark("verdict_obstructed", verdict["lifts"] == "obstructed",
          "all prerequisites hold: Schur index 2 is witnessed and the "
          "quotient construction cannot lift to characteristic 0",

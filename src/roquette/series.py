@@ -236,21 +236,23 @@ def wild_translation_multiplicity(p: int, u: int, sign: int,
     normal forms of the elements of order p (sign +1) and 2p (sign -1).
     The sign branch of the induced map on the uniformizer is not guessed:
     both branches are expanded and matched against the y-multiplier.
-    Precision is doubled automatically (a few times) if the difference
-    vanishes through the window.
+    If the difference vanishes through the window, the precision is
+    doubled until it resolves; the error is re-raised only once a try at
+    or above the default 2p + 4 has failed.
     """
     if u % p == 0:
         raise ValueError("translation parameter must be nonzero mod p")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    prec = precision if precision is not None else 2 * p + 4
-    for _ in range(4):
+    default = 2 * p + 4
+    prec = precision if precision is not None else default
+    while True:
         try:
             return _translation_valuation(p, u, sign, prec)
         except PrecisionError:
+            if prec >= default:
+                raise
             prec *= 2
-    raise PrecisionError(
-        f"wild multiplicity did not resolve at precision {prec // 2}")
 
 
 def _translation_valuation(p: int, u: int, sign: int, prec: int) -> int:

@@ -116,12 +116,14 @@ def test_criterion_7_verdicts():
     for p in PRIMES:
         G = get_group(p)
         chi = CH.lefschetz_character(G)
-        v = CH.schur_obstruction_verdict(G, chi)
-        ok = ok and v.integer_valued and v.irreducible
-        ok = ok and v.fs_indicator == -1 and v.schur_index_witness == 2
-        ok = ok and v.lifts == "obstructed"
+        facts = (all(isinstance(v, int) for v in chi.values),
+                 CH.inner_product(G, chi, chi), CH.fs_indicator(G, chi))
+        v = final_verdict(*facts, any_failures=False)
+        ok = ok and v["integer_valued"] and v["irreducible"]
+        ok = ok and v["fs_indicator"] == -1 and v["schur_index_witness"] == 2
+        ok = ok and v["lifts"] == "obstructed"
         # fault injection flips the final verdict
-        ok = ok and final_verdict(v, any_failures=True)["lifts"] != "obstructed"
+        ok = ok and final_verdict(*facts, any_failures=True)["lifts"] != "obstructed"
     _report("C7 obstruction verdicts with fault injection", ok)
 
 

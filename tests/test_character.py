@@ -13,6 +13,11 @@ import pytest
 from roquette import character as CH
 from roquette.character import ClassFunction
 from roquette.group import get_group
+from roquette.report import final_verdict
+
+
+def trivial_character(group):
+    return ClassFunction(p=group.p, values=(1,) * len(group.conjugacy_classes))
 
 
 def regular_character(group):
@@ -52,7 +57,7 @@ def test_headline_values(p):
 def test_inner_products(p):
     G = get_group(p)
     chi = CH.lefschetz_character(G)
-    triv = CH.trivial_character(G)
+    triv = trivial_character(G)
     assert CH.inner_product(G, chi, chi) == 1
     assert CH.inner_product(G, triv, triv) == 1
     assert CH.inner_product(G, chi, triv) == 0
@@ -110,7 +115,7 @@ def test_fs_indicator(p):
     chi = CH.lefschetz_character(G)
     nu = CH.fs_indicator(G, chi)
     assert nu == -1
-    assert CH.fs_indicator(G, CH.trivial_character(G)) == 1
+    assert CH.fs_indicator(G, trivial_character(G)) == 1
     assert nu in (Fraction(-1), Fraction(0), Fraction(1))
 
 
@@ -126,7 +131,7 @@ def test_kernel_trivial(p):
     G = get_group(p)
     chi = CH.lefschetz_character(G)
     assert CH.kernel_of_character(G, chi) == {G.identity}
-    assert len(CH.kernel_of_character(G, CH.trivial_character(G))) == len(G.elements)
+    assert len(CH.kernel_of_character(G, trivial_character(G))) == len(G.elements)
 
 
 def test_involution_not_in_kernel(group5, chi5):
@@ -143,45 +148,52 @@ def test_sign_rule_on_all_classes(p):
         assert chi.values[j] == -chi.values[i]
 
 
+def _verdict(G, chi, any_failures=False):
+    # the facts the report's char_integral, char_irreducible and
+    # fs_indicator checks compute, fed to the one verdict function
+    return final_verdict(all(isinstance(v, int) for v in chi.values),
+                         CH.inner_product(G, chi, chi), CH.fs_indicator(G, chi),
+                         any_failures)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_verdict_roquette_character(p):
     G = get_group(p)
-    chi = CH.lefschetz_character(G)
-    v = CH.schur_obstruction_verdict(G, chi)
-    assert v.integer_valued and v.irreducible
-    assert v.fs_indicator == -1
-    assert v.schur_index_witness == 2
-    assert v.rationality_class_nontrivial
-    assert v.lifts == "obstructed"
+    v = _verdict(G, CH.lefschetz_character(G))
+    assert v == {"integer_valued": True, "irreducible": True, "fs_indicator": -1,
+                 "schur_index_witness": 2, "rationality_class_nontrivial": True,
+                 "lifts": "obstructed"}
 
 
 def test_verdict_trivial_character(group5):
-    v = CH.schur_obstruction_verdict(group5, CH.trivial_character(group5))
-    assert v.integer_valued and v.irreducible
-    assert v.fs_indicator == 1
-    assert v.schur_index_witness is None
-    assert not v.rationality_class_nontrivial
-    assert v.lifts == "not determined"
+    v = _verdict(group5, trivial_character(group5))
+    assert v["integer_valued"] and v["irreducible"]
+    assert v["fs_indicator"] == 1
+    assert v["schur_index_witness"] is None
+    assert not v["rationality_class_nontrivial"]
+    assert v["lifts"] == "not determined"
 
 
 def test_verdict_non_integer_character(group5):
     G = group5
     vals = [Fraction(1, 2)] * len(G.conjugacy_classes)
     fake = ClassFunction(p=G.p, values=tuple(vals))
-    v = CH.schur_obstruction_verdict(G, fake)
-    assert not v.integer_valued
-    assert v.schur_index_witness is None
-    assert v.lifts == "not determined"
+    v = _verdict(G, fake)
+    assert not v["integer_valued"]
+    assert v["fs_indicator"] == [1, 2]  # a non-integer rational as a JSON pair
+    assert v["schur_index_witness"] is None
+    assert v["lifts"] == "not determined"
 
 
 def test_verdict_reducible_character(group5, chi5):
     # chi + chi is integer valued with indicator -2, norm 4: no witness
     G = group5
     double = ClassFunction(p=G.p, values=tuple(2 * v for v in chi5.values))
-    v = CH.schur_obstruction_verdict(G, double)
-    assert v.integer_valued and not v.irreducible
-    assert v.schur_index_witness is None
-    assert v.lifts == "not determined"
+    v = _verdict(G, double)
+    assert v["integer_valued"] and not v["irreducible"]
+    assert v["fs_indicator"] == -2
+    assert v["schur_index_witness"] is None
+    assert v["lifts"] == "not determined"
 
 
 def test_character_consistent_with_series_multiplicities(group5, chi5):

@@ -1,4 +1,4 @@
-"""Field arithmetic: axioms, square roots, Legendre symbols, embeddings.
+"""Field arithmetic: axioms, square roots, embeddings.
 
 Derived expectations are computed by independent oracles inside the
 tests (naive polynomial division, exhaustive enumeration) and compared
@@ -12,6 +12,7 @@ import pytest
 
 from roquette import ff
 from roquette.ff import make_field
+from roquette.poly import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,24 @@ def poly_divmod_naive(a, m, p):
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def lex_min_root_by_orbit(modulus, target, rng):
+    """One root by equal-degree splitting, then its Frobenius orbit; the
+    oracle for ff._lex_min_root, which splits out every root instead."""
+    f = Poly(target, tuple(target.element(c) for c in modulus))
+    while f.degree() > 1:
+        shift = target.random_element(rng)
+        probe = Poly(target, (shift, target.one())).pow_mod(
+            (target.order - 1) // 2, f) - Poly.one(target)
+        d = probe.gcd(f)
+        if 0 < d.degree() < f.degree():
+            f = d if d.degree() <= f.degree() - d.degree() else f.exact_div(d)
+    root = -(f.coeffs[0] / f.coeffs[1])
+    orbit = [root]
+    for _ in range(len(modulus) - 2):
+        orbit.append(orbit[-1] ** target.p)
+    return min(orbit, key=lambda e: e.coeffs)
 
 
 def quadratics_without_roots(p):
@@ -158,34 +177,6 @@ def test_frobenius_orbit_closes(p, k):
         assert field.element(c).frobenius() == field.element(c)
 
 
-def test_legendre_by_exhaustive_squares():
-    for p in (5, 7, 11, 13):
-        F = make_field(p, 1)
-        squares = {(x * x) % p for x in range(1, p)}
-        for a in range(p):
-            expect = 0 if a == 0 else (1 if a in squares else -1)
-            assert ff.legendre(F.element(a)) == expect
-            assert ff.legendre(a, p) == expect
-
-
-def test_legendre_examples():
-    assert ff.legendre(4, 5) == 1
-    assert ff.legendre(2, 5) == -1  # squares mod 5 are {0, 1, 4}
-    assert ff.legendre(0, 7) == 0
-
-
-def test_legendre_multiplicative():
-    for p in (5, 13):
-        for a in range(1, p):
-            for b in range(1, p):
-                assert ff.legendre(a * b, p) == ff.legendre(a, p) * ff.legendre(b, p)
-
-
-def test_legendre_rejects_extension_field():
-    with pytest.raises(ValueError):
-        ff.legendre(make_field(5, 2).one())
-
-
 def test_sqrt_canonical_and_roundtrip():
     F5 = make_field(5, 1)
     assert ff.sqrt(F5.element(4)) == F5.element(2)  # canonical of {2, 3}
@@ -256,6 +247,14 @@ def test_embedding_root_satisfies_source_modulus():
         for i, c in enumerate(src.modulus):
             val = val + img ** i * c
         assert val.is_zero()
+
+
+@pytest.mark.parametrize("p,s,t", [(5, 2, 4), (5, 4, 12), (5, 10, 20),
+                                   (7, 4, 12), (31, 2, 4)])
+def test_lex_min_root_matches_frobenius_orbit_oracle(p, s, t):
+    src, tgt = make_field(p, s), make_field(p, t)
+    oracle = lex_min_root_by_orbit(src.modulus, tgt, random.Random(1))
+    assert ff._lex_min_root(src.modulus, tgt) == oracle
 
 
 def test_embedding_requires_divisible_degree():

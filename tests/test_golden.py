@@ -1,5 +1,5 @@
-"""Golden reports: the default JSON report at seed 0 for p = 5, 7, 11, 13
-and 29, regenerated and compared byte for byte with the committed files.
+"""Golden reports: the default JSON report at seed 0 for p = 5, 7, 11, 13,
+29 and 31, regenerated and compared byte for byte with the committed files.
 
 Only `tool.python` is normalised, since it names the interpreter.  At
 p = 5 and 7 the torsion witness runs, so the sampled basis and every
@@ -22,7 +22,7 @@ def _normalised(raw: bytes) -> bytes:
     return PYTHON_FIELD.sub(b'"python": ""', raw, count=1)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 31])
 def test_report_matches_golden(p):
     expected = (GOLDEN / f"p{p}.json").read_bytes()
     assert PYTHON_FIELD.search(expected)

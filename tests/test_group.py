@@ -85,6 +85,13 @@ def test_group_axioms_random(p):
         assert G.mul(G.inv(g), g) == G.identity
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_leg_table_is_the_legendre_symbol(p):
+    # _leg[a] is the Legendre symbol of a, with -1 stored as p - 1
+    squares = {x * x % p for x in range(1, p)}
+    assert get_group(p)._leg == [0] + [1 if a in squares else p - 1 for a in range(1, p)]
+
+
 def test_canonical_form_idempotent_and_respected():
     G = get_group(5)
     rng = random.Random(2)
@@ -186,10 +193,10 @@ def test_classes_reject_a_non_generating_conjugator_set(monkeypatch):
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_order_p_elements_single_class(p):
     G = get_group(p)
-    stats = G.order_statistics()
-    assert stats[p] == p * p - 1
-    wild_classes = [c for c in G.conjugacy_classes
-                    if G.element_order(c.rep) == p]
+    # one order per class, as the report derives its statistics
+    orders = [G.element_order(c.rep) for c in G.conjugacy_classes]
+    assert sum(c.size for c, n in zip(G.conjugacy_classes, orders) if n == p) == p * p - 1
+    wild_classes = [c for c, n in zip(G.conjugacy_classes, orders) if n == p]
     assert len(wild_classes) == 1
     assert wild_classes[0].size == p * p - 1
 

@@ -1,12 +1,12 @@
 """Pipeline orchestration, emission formats, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from roquette import character as CH
 from roquette import jacobian
-from roquette.character import ObstructionVerdict
 from roquette.cli import main
 from roquette.report import (PipelineOptions, UsageError, emit, final_verdict,
                              run_pipeline, select_ells)
@@ -200,16 +200,48 @@ def test_wide_prime_range_obstructed(p):
 
 def test_verdict_monotone_under_fault_injection(group5):
     chi = CH.lefschetz_character(group5)
-    base = CH.schur_obstruction_verdict(group5, chi)
-    assert final_verdict(base, any_failures=False)["lifts"] == "obstructed"
+    facts = (all(isinstance(v, int) for v in chi.values),
+             CH.inner_product(group5, chi, chi), CH.fs_indicator(group5, chi))
+    assert final_verdict(*facts, any_failures=False)["lifts"] == "obstructed"
     # any failed check anywhere flips the verdict away from obstructed
-    assert final_verdict(base, any_failures=True)["lifts"] == "not determined"
+    assert final_verdict(*facts, any_failures=True)["lifts"] == "not determined"
     # and a broken witness can never be rescued by passing checks
-    broken = ObstructionVerdict(
-        integer_valued=True, irreducible=True, fs_indicator=1,
-        schur_index_witness=None, rationality_class_nontrivial=False,
-        lifts="not determined")
-    assert final_verdict(broken, any_failures=False)["lifts"] == "not determined"
+    broken = final_verdict(True, Fraction(1), Fraction(1), any_failures=False)
+    assert broken["schur_index_witness"] is None
+    assert broken["lifts"] == "not determined"
+
+
+def test_verdict_facts_computed_once(monkeypatch):
+    # the verdict reuses the norm and indicator its checks computed
+    calls = {"inner_product": 0, "fs_indicator": 0}
+    for name in calls:
+        real = getattr(CH, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(CH, name, counted)
+    report = run_pipeline(11)
+    assert report.verdict["lifts"] == "obstructed"
+    assert calls == {"inner_product": 1, "fs_indicator": 1}
+
+
+@pytest.mark.parametrize("p", [17, 31])
+def test_small_precision_gives_the_default_report(p):
+    # one try at the wild series needs precision p + 2; a window of 2 must
+    # keep doubling until it resolves instead of raising
+    low = json.loads(emit(run_pipeline(p, PipelineOptions(series_precision=2))))
+    assert low["input"]["series_precision"] == 2
+    low["input"]["series_precision"] = None
+    assert low == json.loads(emit(run_pipeline(p)))
+
+
+def test_cli_small_precision_exits_0(capsys):
+    assert main(["--prime", "31", "--precision", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    wild = next(c for c in doc["checks"] if c["name"] == "wild_multiplicities")
+    assert wild["status"] == "pass" and wild["data"] == {"sign_+1": 3, "sign_-1": 1}
+    assert doc["verdict"]["lifts"] == "obstructed"
 
 
 def test_fault_injection_every_check(report5):
