@@ -82,28 +82,16 @@ def point_count(p: int, k: int) -> int:
     return len(curve_points(p, k))
 
 
+def frobenius_sign(p: int) -> int:
+    """The sign eps of the Frobenius scalar eps*p on H^1 over F_{p^2}:
+    +1 iff p = 1 mod 4."""
+    return 1 if p % 4 == 1 else -1
+
+
 def expected_quadratic_count(p: int) -> int:
-    """The dichotomy for #C(F_{p^2}): p+1 if p = 1 mod 4, else 2p^2 - p + 1."""
-    return p + 1 if p % 4 == 1 else 2 * p * p - p + 1
-
-
-@dataclass(frozen=True)
-class HasseWeilReport:
-    p: int
-    count: int
-    gap: int
-    expected_gap: int
-    epsilon: int
-    sharp: bool
-
-
-def hasse_weil_sharpness(p: int) -> HasseWeilReport:
-    """Check |#C(F_{p^2}) - (1 + p^2)| = p(p-1) and record the Frobenius sign."""
-    n = point_count(p, 2)
-    gap = abs(n - (1 + p * p))
-    eps = 1 if p % 4 == 1 else -1
-    return HasseWeilReport(p=p, count=n, gap=gap, expected_gap=p * (p - 1),
-                           epsilon=eps, sharp=(gap == p * (p - 1)))
+    """#C(F_{p^2}) = p^2 + 1 - eps*p(p-1): Frobenius acts on the 2g = p-1
+    dimensional H^1 as eps*p, so the count meets the Weil bound."""
+    return p * p + 1 - frobenius_sign(p) * p * (p - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Small integer-coefficient polynomial helpers over F_p (low degree first).
-# These back the modulus search and element arithmetic; they work on plain
+# These back the extended Euclid of FieldElement.inverse; they work on plain
 # lists of ints to keep the inner loops fast.
 # ---------------------------------------------------------------------------
 
@@ -99,52 +99,18 @@ def _zp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]
     return _zp_trim(q), rem
 
 
-def _zp_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    return _zp_divmod(a, m, p)[1]
-
-
-def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _zp_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _zp_pow_mod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _zp_rem(base, m, p)
-    while e:
-        if e & 1:
-            result = _zp_rem(_zp_mul(result, base, p), m, p)
-        base = _zp_rem(_zp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _zp_is_irreducible(f: list[int], p: int) -> bool:
-    """Irreducibility test for monic f of degree k >= 1 over F_p.
-
-    f is irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/q)) - x, f) = 1
-    for every prime q dividing k.
-    """
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test of monic f of degree k >= 2 over F_p, in F_p[x]/(f): f is
+    irreducible iff x^(p^k) = x and x^(p^(k/q)) - x is a unit for each
+    prime q | k.  FieldElement.inverse decides "unit"."""
     k = len(f) - 1
-    if k == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by x
-    x = [0, 1]
-    xq = _zp_pow_mod(x, p ** k, f, p)
-    if xq != [0, 1]:
+    x = FieldDescriptor(p, k, tuple(f)).gen()
+    if x ** (p ** k) != x:
         return False
     for q in prime_factors(k):
-        d = k // q
-        g = _zp_pow_mod(x, p ** d, f, p)
-        g = [(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)]
-        _zp_trim(g)
-        if len(_zp_gcd(g, f, p)) > 1:
+        try:
+            (x ** (p ** (k // q)) - x).inverse()
+        except ZeroDivisionError:
             return False
     return True
 
@@ -166,7 +132,7 @@ def first_irreducible(p: int, k: int) -> tuple[int, ...]:
             if any(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p == 0
                    for a in range(p)):
                 continue
-            if _zp_is_irreducible(f, p):
+            if _is_irreducible(f, p):
                 return tuple(f)
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
@@ -380,7 +346,9 @@ class FieldElement:
             news = [(x - y) % p for x, y in itertools.zip_longest(s0, qs1, fillvalue=0)]
             _zp_trim(news)
             s0, s1 = s1, news
-        # r0 = gcd: a nonzero constant, since the modulus is irreducible
+        # r0 = gcd, a nonzero constant unless the modulus is reducible
+        if len(r0) > 1:
+            raise ZeroDivisionError("not a unit: it shares a factor with the modulus")
         c_inv = pow(r0[0], p - 2, p)
         inv = [(c * c_inv) % p for c in s0]
         inv += [0] * (self.field.k - len(inv))

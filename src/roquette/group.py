@@ -158,10 +158,6 @@ class RoquetteGroup:
                 raise RuntimeError("order exceeds group order; broken element")
         return n
 
-    def det(self, g: GroupElement) -> int:
-        a, b, c, d = g[:4]
-        return (a * d - b * c) % self.p
-
     def lam_element(self, g: GroupElement) -> ff.FieldElement:
         return self.fp2.element((g[4], g[5]))
 

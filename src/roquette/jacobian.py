@@ -5,10 +5,9 @@ Divisor classes are reduced Mumford pairs (u, v): u monic of degree at
 most the genus, v of smaller degree, with v^2 = x^p - x mod u.  The group
 law is Cantor composition and reduction; the identity is (1, 0).
 
-Over F_{p^(2m)} the Frobenius acts on the Jacobian as the scalar
-eps * p^m with eps = +1 iff p = 1 mod 4, which gives the closed order
-formula #J = (1 - (eps*p)^m)^(2g) and pins down which extension contains
-the full ell-torsion: m is the multiplicative order of eps*p mod ell.
+Over F_{p^(2m)} Frobenius acts on the Jacobian as the scalar (eps*p)^m,
+eps = curve.frobenius_sign(p): so #J = (1 - (eps*p)^m)^(2g), and the full
+ell-torsion is rational for m the multiplicative order of eps*p mod ell.
 
 The action of a curve automorphism on a class is computed in the class's
 own field by substituting the inverse Mobius map into the Mumford pair:
@@ -19,7 +18,6 @@ most one Cantor addition, because g(inf) is a Weierstrass point.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -30,28 +28,12 @@ from .group import RoquetteGroup
 from .poly import Poly
 
 
-def epsilon(p: int) -> int:
-    """Sign of the Frobenius scalar over F_{p^2}: +1 iff p = 1 mod 4."""
-    return 1 if p % 4 == 1 else -1
-
-
 def jacobian_order(p: int, m: int) -> int:
     """#J(F_{p^(2m)}) = (1 - (eps*p)^m)^(2g)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     g2 = p - 1  # 2g
-    return (1 - (epsilon(p) * p) ** m) ** g2
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    k, cur = 1, a
-    while cur != 1:
-        cur = (cur * a) % n
-        k += 1
-    return k
+    return (1 - (curve.frobenius_sign(p) * p) ** m) ** g2
 
 
 class MumfordDivisor:
@@ -290,11 +272,13 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     if ell ** g2 > bound:
         raise ValueError(
             f"ell^(2g) = {ell ** g2} exceeds the brute-force bound {bound}")
-    m = multiplicative_order(epsilon(p) * p, ell)
+    m = 1
+    while pow(curve.frobenius_sign(p) * p, m, ell) != 1:
+        m += 1
     field = make_field(p, 2 * m)
     n_jac = jacobian_order(p, m)
     # cross-check the Frobenius sign against the curve count over F_{p^2}
-    if curve.point_count(p, 2) != p * p + 1 - (p - 1) * epsilon(p) * p:
+    if curve.point_count(p, 2) != curve.expected_quadratic_count(p):
         raise RuntimeError("Frobenius sign contradicts the curve count; aborting")
     v = 0
     rest = n_jac
@@ -356,12 +340,6 @@ def rep_matrix(group: RoquetteGroup, g, basis: TorsionBasis) -> tuple:
     g2 = len(basis.basis)
     cols = [basis.coordinates(act_on_class(group, g, D)) for D in basis.basis]
     return tuple(tuple(cols[j][i] % ell for j in range(g2)) for i in range(g2))
-
-
-def mat_mul(A, B, ell: int):
-    n = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n)) % ell
-                       for j in range(n)) for i in range(n))
 
 
 def mat_trace(A, ell: int) -> int:

@@ -36,10 +36,6 @@ class Poly:
         return cls(field, (field.zero(), field.one()))
 
     @classmethod
-    def const(cls, field, c):
-        return cls(field, (field.element(c),))
-
-    @classmethod
     def from_ints(cls, field, ints):
         return cls(field, tuple(field.element(c) for c in ints))
 

@@ -217,17 +217,6 @@ class TruncatedSeries:
 # The local model at infinity and wild fixed-point multiplicities
 # ---------------------------------------------------------------------------
 
-def infinity_chart(p: int, prec: int):
-    """Series (x, y) of the chart at infinity: x = s^(-2), y = s^(-p)*unit(s)."""
-    field = make_field(p, 1)
-    s = TruncatedSeries.gen(field, prec)
-    x = s.invert() ** 2
-    one = TruncatedSeries.const(field, 1, prec)
-    unit = (one - s ** (2 * p - 2)).sqrt()
-    y = (s.invert() ** p) * unit
-    return x, y
-
-
 def wild_translation_multiplicity(p: int, u: int, sign: int,
                                   precision: int | None = None) -> int:
     """Valuation of g(s) - s for g acting by x -> x + u, y -> sign * y.

@@ -45,9 +45,10 @@ def test_criterion_2_point_counts():
     ok = True
     for p in PRIMES:
         ok = ok and C.point_count(p, 1) == p + 1
-        ok = ok and C.point_count(p, 2) == expected_k2[p]
-        hw = C.hasse_weil_sharpness(p)
-        ok = ok and hw.sharp and hw.gap == p * (p - 1)
+        n2 = C.point_count(p, 2)
+        ok = ok and n2 == expected_k2[p]
+        ok = ok and abs(n2 - (1 + p * p)) == p * (p - 1)
+        ok = ok and C.expected_quadratic_count(p) == expected_k2[p]
     dt = time.monotonic() - t0
     _report("C2 point counts and sharpness", ok and dt < 10, f"{dt:.2f}s")
 

@@ -44,10 +44,11 @@ def test_points_are_on_curve_and_distinct():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_hasse_weil_sharpness(p):
-    hw = C.hasse_weil_sharpness(p)
-    assert hw.sharp
-    assert hw.gap == p * (p - 1)
-    assert hw.epsilon == (1 if p % 4 == 1 else -1)
+    # |#C(F_{p^2}) - (1 + p^2)| = p(p-1), with the gap's sign the Frobenius sign
+    gap = C.point_count(p, 2) - (1 + p * p)
+    assert abs(gap) == p * (p - 1)
+    assert C.frobenius_sign(p) == (1 if p % 4 == 1 else -1)
+    assert gap == -C.frobenius_sign(p) * p * (p - 1)
 
 
 def test_act_identity_and_named_elements(group5):

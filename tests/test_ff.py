@@ -70,6 +70,19 @@ def lex_min_root_by_orbit(modulus, target, rng):
     return min(orbit, key=lambda e: e.coeffs)
 
 
+def irreducible_by_gcd(f, p):
+    """Irreducibility of monic f of degree k over F_p, on Poly: x^(p^k) = x
+    mod f and gcd(x^(p^d) - x, f) = 1 for every proper divisor d of k."""
+    fp = Poly.from_ints(make_field(p, 1), f)
+    k = fp.degree()
+    x = Poly.x(fp.field)
+    frob = [x]  # frob[d] = x^(p^d) mod f
+    for _ in range(k):
+        frob.append(frob[-1].pow_mod(p, fp))
+    return frob[k] == x and all((frob[d] - x).gcd(fp).degree() == 0
+                                for d in range(1, k) if k % d == 0)
+
+
 def quadratics_without_roots(p):
     """Lex enumeration of monic quadratics having no prime-field root."""
     out = []
@@ -100,18 +113,38 @@ def test_composite_p_rejected():
 
 
 def test_modulus_is_irreducible_by_gcd_oracle():
-    # gcd with x^(p^d) - x for proper divisors d must be trivial
     for p, k in [(5, 2), (5, 4), (7, 2), (5, 6)]:
-        f = list(make_field(p, k).modulus)
-        for d in range(1, k):
-            if k % d:
-                continue
-            g = ff._zp_pow_mod([0, 1], p ** d, f, p)
-            g = [(gi - xi) % p for gi, xi in
-                 itertools.zip_longest(g, [0, 1], fillvalue=0)]
-            while g and g[-1] == 0:
-                g.pop()
-            assert len(ff._zp_gcd(g, f, p)) <= 1
+        assert irreducible_by_gcd(make_field(p, k).modulus, p)
+    # and no earlier candidate (c0 >= 1, constant term first) is irreducible
+    for p, k in [(5, 2), (5, 4), (5, 6), (7, 4), (29, 4), (5, 12)]:
+        modulus = make_field(p, k).modulus
+        assert irreducible_by_gcd(modulus, p)
+        candidates = ((c0,) + upper for c0 in range(1, p)
+                      for upper in itertools.product(range(p), repeat=k - 1))
+        earlier = list(itertools.takewhile(lambda c: c != modulus[:-1], candidates))
+        assert not any(irreducible_by_gcd(c + (1,), p) for c in earlier)
+        if (p, k) == (5, 12):
+            assert len(earlier) == 29
+    # squarefree, with factors of degree 2, 4 and 6: x^(5^12) = x holds, and
+    # only the unit test on x^(5^6) - x and x^(5^4) - x rejects it
+    F5 = make_field(5, 1)
+    f = Poly.one(F5)
+    for d in (2, 4, 6):
+        f = f * Poly.from_ints(F5, make_field(5, d).modulus)
+    f = [c.coeffs[0] for c in f.coeffs]
+    x = ff.FieldDescriptor(5, 12, tuple(f)).gen()
+    assert x ** (5 ** 12) == x
+    assert not irreducible_by_gcd(f, 5)
+    assert not ff._is_irreducible(f, 5)
+
+
+def test_inverse_of_a_zero_divisor_raises():
+    # x^2 + 1 = (x - 2)(x - 3) over F_5, so x - 2 is no unit modulo it
+    F = ff.FieldDescriptor(5, 2, (1, 0, 1))
+    x = F.gen()
+    assert (x - 2) * (x - 3) == F.zero()
+    with pytest.raises(ZeroDivisionError):
+        (x - 2).inverse()
 
 
 def test_basic_prime_field_arithmetic():

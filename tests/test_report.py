@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from roquette import character as CH
-from roquette import jacobian
+from roquette import curve, jacobian
+from roquette import report as R
 from roquette.cli import main
 from roquette.report import (PipelineOptions, UsageError, emit, final_verdict,
                              run_pipeline, select_ells)
@@ -147,6 +148,35 @@ def test_select_ells():
     assert select_ells(11, 10_000) == ()
     assert select_ells(13, 10_000) == ()
     assert select_ells(3, 10_000) == (5, 7) or select_ells(3, 10_000) == ()
+
+
+def test_select_ells_stops_at_the_bound(monkeypatch):
+    # already 3^28 exceeds the bound, so no candidate is even tested
+    calls, real = [], R.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(R, "is_prime", counted)
+    assert select_ells(29, 10 ** 5) == ()
+    assert calls == []
+    assert select_ells(29, 10 ** 7) == ()
+    assert select_ells(5, 10_000) == (3, 7)
+    assert calls == [3, 7]  # 5 = p is skipped before the prime test
+
+
+def test_quadratic_count_enumerated_once(monkeypatch):
+    # the sharpness check and the hasse_weil block reuse the counted n2
+    calls, real = [], curve.point_count
+
+    def counted(p, k):
+        calls.append((p, k))
+        return real(p, k)
+    monkeypatch.setattr(curve, "point_count", counted)
+    rep = run_pipeline(11)
+    assert calls.count((11, 2)) == 1
+    assert rep.hasse_weil == {"count": 232, "gap": 110, "expected_gap": 110,
+                              "epsilon": -1, "sharp": True}
 
 
 def test_usage_errors(capsys):
