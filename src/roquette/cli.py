@@ -5,12 +5,14 @@
            [--timings]
 
 Exit codes: 0 when every check passes and the verdict is "obstructed",
-1 when a check fails, 2 on usage errors or infeasible input.
+1 when a check fails, 2 on usage errors, infeasible input or a report that
+cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .report import PipelineOptions, UsageError, emit, run_pipeline
@@ -62,12 +64,23 @@ def main(argv: list | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = emit(report, ns.format)
-    if ns.out:
-        with open(ns.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    try:
+        if ns.out:
+            with open(ns.out, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the
+        # interpreter's final flush does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     for check in report.failed:
         print(f"FAILED: {check.name}: {check.claim}", file=sys.stderr)
     return report.exit_code

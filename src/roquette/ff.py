@@ -17,6 +17,15 @@ reproducible:
   vector is lexicographically smaller of the two;
 * an embedding uses the root of the source modulus that comes first in
   the lexicographic enumeration of target elements.
+
+Multiplication in F_{p^k}, k >= 2, is one big-int product (Kronecker
+substitution).  Each coefficient vector is packed into an int with one
+fixed-width digit per coefficient, the digit being the smallest `array`
+typecode (B, H, I or Q) whose range exceeds 2k(p-1)^2, so the digits of the
+product never carry.  The k-1 high digits of the product are folded back
+onto the k low ones by adding precomputed packed rows c * (x^(k+i) mod f),
+c = 0..p-1, built on first use per field; the k digits are then unpacked
+and reduced mod p.
 """
 
 from __future__ import annotations
@@ -24,10 +33,14 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
+from array import array
 
 # Fields up to this order get a cached table of canonical square roots;
 # larger fields use Tonelli-Shanks exponentiation.
 SQRT_TABLE_LIMIT = 100_000
+
+_BYTEORDER = sys.byteorder  # array digits are packed in native order
 
 
 def is_prime(n: int) -> bool:
@@ -148,7 +161,7 @@ class FieldDescriptor:
     equal descriptors are the same object and per-field caches are shared.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_hash", "_red_rows",
+    __slots__ = ("p", "k", "modulus", "order", "_hash", "_packed",
                  "_sqrt_table", "_nonresidue")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -157,7 +170,7 @@ class FieldDescriptor:
         self.modulus = modulus
         self.order = p ** k
         self._hash = hash((p, k, modulus))
-        self._red_rows = None
+        self._packed = None
         self._sqrt_table = None
         self._nonresidue = None
 
@@ -215,44 +228,41 @@ class FieldDescriptor:
 
     # -- internal arithmetic support ------------------------------------------
 
-    def _reduction_rows(self):
-        # row i holds the coefficients of x^(k+i) mod modulus, i = 0..k-2
-        if self._red_rows is None:
-            p, k = self.p, self.k
-            rows = []
-            cur = [-c % p for c in self.modulus[:-1]]  # x^k mod m
-            rows.append(tuple(cur))
-            for _ in range(k - 2):
-                nxt = [0] + cur[:-1]
-                lead = cur[-1]
-                if lead:
-                    for j in range(k):
-                        nxt[j] = (nxt[j] - lead * self.modulus[j]) % p
-                else:
-                    nxt = [c % p for c in nxt]
-                cur = nxt
-                rows.append(tuple(cur))
-            self._red_rows = rows
-        return self._red_rows
+    def _build_packing_plan(self):
+        # the digit typecode, the digit width in bytes, the mask of the k low
+        # digits, and for i = 0..k-2 the packed rows c * (x^(k+i) mod modulus)
+        # for c = 0..p-1; built on the field's first product
+        p, k = self.p, self.k
+        # a product digit is at most k(p-1)^2 and the fold adds at most
+        # (k-1)(p-1) more, so no digit ever carries into the next
+        bound = 2 * k * (p - 1) ** 2
+        tc = next((t for t in "BHIQ" if bound < 1 << 8 * array(t).itemsize), None)
+        if tc is None:
+            raise ValueError(f"{self!r}: coefficients too large to pack")
+        width = array(tc).itemsize
+        folds = []
+        row = [-c % p for c in self.modulus[:-1]]  # x^k mod modulus
+        for _ in range(k - 1):
+            folds.append([
+                int.from_bytes(array(tc, [c * r % p for r in row]), _BYTEORDER)
+                for c in range(p)])
+            lead = row[-1]
+            row = [(r - lead * m) % p for r, m in zip([0] + row[:-1], self.modulus)]
+        self._packed = (tc, width, (1 << 8 * width * k) - 1, folds)
+        return self._packed
 
     def _mul_coeffs(self, a: tuple, b: tuple) -> tuple:
         p, k = self.p, self.k
         if k == 1:
             return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:k]]
-        rows = self._reduction_rows()
-        for i in range(k - 1):
-            c = prod[k + i] % p
-            if c:
-                row = rows[i]
-                for j in range(k):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
+        tc, width, low_mask, folds = self._packed or self._build_packing_plan()
+        prod = (int.from_bytes(array(tc, a), _BYTEORDER)
+                * int.from_bytes(array(tc, b), _BYTEORDER))
+        digits = array(tc, prod.to_bytes((2 * k - 1) * width, _BYTEORDER))
+        low = prod & low_mask
+        for fold, c in zip(folds, digits[k:]):
+            low += fold[c % p]
+        return tuple([c % p for c in array(tc, low.to_bytes(k * width, _BYTEORDER))])
 
     def _sqrt_lookup(self):
         # canonical-root table, built once, for fields small enough
@@ -279,7 +289,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError(
                     f"field mismatch: {self.field} vs {other.field}; embed explicitly")
             return other
@@ -388,7 +398,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return ((other.field is self.field or other.field == self.field)
+                    and self.coeffs == other.coeffs)
         if isinstance(other, int):
             return self == self.field.element(other)
         return NotImplemented

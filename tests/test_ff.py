@@ -52,6 +52,18 @@ def poly_divmod_naive(a, m, p):
     return a
 
 
+def schoolbook_mul(field, a, b):
+    """Schoolbook product of two coefficient vectors, reduced by naive
+    division; the oracle for the packed kernel FieldDescriptor._mul_coeffs."""
+    p, k = field.p, field.k
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    rem = poly_divmod_naive(prod, list(field.modulus), p)
+    return tuple(rem + [0] * (k - len(rem)))
+
+
 def lex_min_root_by_orbit(modulus, target, rng):
     """One root by equal-degree splitting, then its Frobenius orbit; the
     oracle for ff._lex_min_root, which splits out every root instead."""
@@ -170,6 +182,30 @@ def test_cross_field_operations_rejected():
         _ = a + b
     with pytest.raises(ValueError):
         _ = a * b
+    # an equal descriptor that is a distinct object is the same field
+    F25 = make_field(5, 2)
+    twin = ff.FieldDescriptor(5, 2, F25.modulus)
+    assert twin is not F25
+    assert twin.gen() == F25.gen()
+    assert (twin.gen() * F25.gen()).coeffs == (F25.gen() * F25.gen()).coeffs
+
+
+# (101, 3), (257, 2) and (65537, 2) pack into the H, I and Q digits
+@pytest.mark.parametrize("p,k", [(5, 2), (5, 4), (5, 12), (7, 12), (11, 12),
+                                 (13, 8), (29, 4), (31, 12), (5, 24), (101, 3),
+                                 (257, 2), (65537, 2)])
+def test_packed_product_matches_schoolbook_oracle(p, k):
+    # the kernel multiplies modulo any monic modulus; a random one keeps the
+    # test independent of the modulus search, which itself multiplies
+    rng = random.Random(p * 100 + k)
+    modulus = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+    field = ff.FieldDescriptor(p, k, modulus)
+    zero, top = (0,) * k, (p - 1,) * k  # top: the largest digits and folds
+    vectors = [zero, top] + [tuple(rng.randrange(p) for _ in range(k))
+                             for _ in range(60)]
+    pairs = [(top, top), (zero, top), (top, zero)] + list(zip(vectors, vectors[1:]))
+    for a, b in pairs:
+        assert field._mul_coeffs(a, b) == schoolbook_mul(field, a, b), (a, b)
 
 
 def test_division_by_zero():

@@ -1,10 +1,15 @@
 """Pipeline orchestration, emission formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import roquette
 from roquette import character as CH
 from roquette import curve, jacobian
 from roquette import report as R
@@ -166,7 +171,8 @@ def test_select_ells_stops_at_the_bound(monkeypatch):
 
 
 def test_quadratic_count_enumerated_once(monkeypatch):
-    # the sharpness check and the hasse_weil block reuse the counted n2
+    # the sharpness check and the hasse_weil block reuse the counted n2, and
+    # the witness (run at p = 5, for ell = 3 and 7) counts no points itself
     calls, real = [], curve.point_count
 
     def counted(p, k):
@@ -177,6 +183,11 @@ def test_quadratic_count_enumerated_once(monkeypatch):
     assert calls.count((11, 2)) == 1
     assert rep.hasse_weil == {"count": 232, "gap": 110, "expected_gap": 110,
                               "epsilon": -1, "sharp": True}
+    rep = run_pipeline(5)
+    assert [w["ell"] for w in rep.ell_witness] == [3, 7]
+    assert calls.count((5, 2)) == 1
+    assert rep.hasse_weil == {"count": 6, "gap": 20, "expected_gap": 20,
+                              "epsilon": 1, "sharp": True}
 
 
 def test_usage_errors(capsys):
@@ -295,6 +306,29 @@ def test_cli_markdown_and_exit_codes(tmp_path, capsys):
     assert main(["--prime", "4"]) == 2
     assert main(["--prime", "5", "--ell", "banana"]) == 2
     capsys.readouterr()
+
+
+def test_cli_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    code = main(["--prime", "11", "--out", str(tmp_path / "missing" / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write the report") and err.count("\n") == 1
+
+
+def test_cli_closed_stdout_exits_2_with_one_line():
+    # stdout is a pipe whose reader is gone, as in `verify ... | head -c 0`
+    env = dict(os.environ, PYTHONPATH=str(Path(roquette.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "roquette", "--prime", "11"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: stdout was closed") and err.count("\n") == 1
 
 
 def test_cli_json_to_stdout(capsys):
