@@ -99,41 +99,26 @@ def expected_quadratic_count(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _lambda_route(p: int, target: FieldDescriptor):
-    """Embedding of F_{p^2} into the target field, routed through F_{p^4}.
+def _fp2_root(target: FieldDescriptor) -> FieldElement:
+    """A root z_t in the target field of the F_{p^2} modulus z^2 + m1 z + m0.
 
-    Routing all lambda realizations through the one F_{p^4} arrow keeps
-    the identification of group elements with curve automorphisms
-    consistent across every working field, so characters computed in
-    different fields can be compared coefficient by coefficient.  A
-    target of degree k = 2 mod 4 does not contain F_{p^4}; there the
-    embedding of F_{p^2} is the one of its two whose image in F_{p^(2k)}
-    agrees with the F_{p^4} route into F_{p^(2k)}.
+    Either root serves.  The two choices differ by Frobenius, which turns
+    g = (A, lam) into g^(p) = (A, lam^p).  The p-power Frobenius pi_p of the
+    Jacobian is an F_p-isogeny with pi_p g = g^(p) pi_p, invertible on the
+    ell-torsion and bijective on points, so traces and fixed-point counts
+    agree under both (Mumford, Abelian Varieties, section 19).
     """
-    fp2 = make_field(p, 2)
-    if target == fp2:
-        return lambda e: e
-    if target.k % 2:
+    m0, m1, _ = make_field(target.p, 2).modulus
+    rt = ff.sqrt(target.element(m1 * m1 - 4 * m0))
+    if rt is None:
         raise ValueError(
             f"action field must contain F_p^2 (even degree), got {target!r}")
-    if target.k % 4:
-        direct = ff.embedding(fp2, target)
-        up = ff.embedding(target, make_field(p, 2 * target.k))
-        gen = fp2.gen()
-        if up.apply(direct.apply(gen)) == _lambda_route(p, up.target)(gen):
-            return direct.apply
-        return lambda e: direct.apply(e.frobenius())
-    fp4 = make_field(p, 4)
-    first = ff.embedding(fp2, fp4)
-    if target == fp4:
-        return first.apply
-    second = ff.embedding(fp4, target)
-    return lambda e: second.apply(first.apply(e))
+    return (rt - m1) / 2
 
 
 def lambda_in(group: RoquetteGroup, g, target: FieldDescriptor) -> FieldElement:
     """The lambda component of g realized in the target field."""
-    return _lambda_route(group.p, target)(group.lam_element(g))
+    return g[4] + g[5] * _fp2_root(target)
 
 
 def act(group: RoquetteGroup, g, P: CurvePoint, field: FieldDescriptor | None = None,

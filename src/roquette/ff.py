@@ -2,10 +2,8 @@
 
 An extension field is described by a monic irreducible modulus of degree k
 over F_p; elements are coefficient vectors of length k (constant term
-first).  Every extension is built directly over F_p -- never as a relative
-tower -- and embeddings between compatible extensions are computed on
-demand by sending the source generator to a root of the source modulus in
-the target field.
+first).  Every extension is built directly over F_p, never as a relative
+tower.
 
 All choices are deterministic so that repeated runs are bit-for-bit
 reproducible:
@@ -14,9 +12,7 @@ reproducible:
   degree k in lexicographic order of the coefficient vector (constant
   term most significant); for k = 1 the modulus is x;
 * the canonical square root of an element is the one whose coefficient
-  vector is lexicographically smaller of the two;
-* an embedding uses the root of the source modulus that comes first in
-  the lexicographic enumeration of target elements.
+  vector is lexicographically smaller of the two.
 
 Multiplication in F_{p^k}, k >= 2, is one big-int product (Kronecker
 substitution).  Each coefficient vector is packed into an int with one
@@ -290,8 +286,7 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field is not self.field and other.field != self.field:
-                raise ValueError(
-                    f"field mismatch: {self.field} vs {other.field}; embed explicitly")
+                raise ValueError(f"field mismatch: {self.field} vs {other.field}")
             return other
         if isinstance(other, int):
             return self.field.element(other)
@@ -479,66 +474,3 @@ def sqrt(a: FieldElement):
         w = w * c
         m = i
     return min(r, -r, key=lambda e: e.coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Embeddings between extensions
-# ---------------------------------------------------------------------------
-
-class Embedding:
-    """Ring homomorphism F_{p^s} -> F_{p^t} (s | t) fixing F_p.
-
-    Realized by mapping the source generator to the root of the source
-    modulus in the target that is first in the lexicographic enumeration
-    of target elements.
-    """
-
-    __slots__ = ("source", "target", "root", "_powers")
-
-    def __init__(self, source: FieldDescriptor, target: FieldDescriptor):
-        if source.p != target.p:
-            raise ValueError("characteristic mismatch")
-        if target.k % source.k != 0:
-            raise ValueError(
-                f"degree {source.k} does not divide {target.k}; no embedding")
-        self.source = source
-        self.target = target
-        if source == target:
-            self.root = target.gen()
-        elif source.k == 1:
-            self.root = target.zero()  # modulus x has root 0
-        else:
-            self.root = _lex_min_root(source.modulus, target)
-        powers = [target.one()]
-        for _ in range(source.k - 1):
-            powers.append(powers[-1] * self.root)
-        self._powers = powers
-
-    def apply(self, a: FieldElement) -> FieldElement:
-        if a.field != self.source:
-            raise ValueError("element not in the embedding's source field")
-        out = self.target.zero()
-        for c, pw in zip(a.coeffs, self._powers):
-            if c:
-                out = out + pw * c
-        return out
-
-
-def _lex_min_root(modulus: tuple[int, ...], target: FieldDescriptor) -> FieldElement:
-    """Lexicographically smallest root of an F_p-irreducible modulus in target.
-
-    The modulus splits into distinct linear factors in target, so
-    equal-degree splitting returns every root (the Frobenius orbit of any
-    one of them), and the minimum is independent of the randomness.
-    """
-    from .poly import Poly, roots_of_split
-
-    f = Poly(target, tuple(target.element(c) for c in modulus))
-    rng = random.Random(target.order * (len(modulus) - 1) + target.k)
-    return min(roots_of_split(f, rng), key=lambda e: e.coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def embedding(source: FieldDescriptor, target: FieldDescriptor) -> Embedding:
-    return Embedding(source, target)
-

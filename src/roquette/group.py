@@ -158,9 +158,6 @@ class RoquetteGroup:
                 raise RuntimeError("order exceeds group order; broken element")
         return n
 
-    def lam_element(self, g: GroupElement) -> ff.FieldElement:
-        return self.fp2.element((g[4], g[5]))
-
     # -- enumeration -------------------------------------------------------------------
 
     @property

@@ -2,8 +2,8 @@
 
 Coefficients are stored low degree first and kept trimmed (the zero
 polynomial has an empty coefficient tuple and degree -1).  Only what the
-divisor arithmetic and embedding machinery need: ring operations, divmod,
-gcd / extended gcd, modular powers, evaluation and root extraction.
+divisor arithmetic needs: ring operations, divmod, gcd / extended gcd,
+modular powers, evaluation and root extraction.
 """
 
 from __future__ import annotations

@@ -144,13 +144,15 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     t_start = time.monotonic()
     timings: dict = {}
 
+    # the size bounds come before the trial-division prime tests, which
+    # would not finish on a huge input
+    if p > options.max_prime:
+        raise UsageError(
+            f"p = {p} exceeds the configured maximum {options.max_prime}")
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     if p < 5:
         raise UsageError("p must be at least 5 (the curve needs genus >= 2)")
-    if p > options.max_prime:
-        raise UsageError(
-            f"p = {p} exceeds the configured maximum {options.max_prime}")
     if options.series_precision is not None and options.series_precision < 2:
         raise UsageError(
             f"series precision must be at least 2, got {options.series_precision}")
@@ -163,12 +165,14 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         if len(set(ells)) != len(ells):
             raise UsageError(f"ell = {list(ells)} names a prime more than once")
         for ell in ells:
-            if not is_prime(ell) or ell == p or ell == 2:
+            if ell < 3 or ell == p:
                 raise UsageError(f"ell = {ell} must be an odd prime different from p")
             if ell ** (p - 1) > options.ell_bound:
                 raise UsageError(
                     f"ell = {ell}: ell^(2g) = {ell ** (p - 1)} exceeds the bound "
                     f"{options.ell_bound}; raise --ell-bound to force it")
+            if not is_prime(ell):
+                raise UsageError(f"ell = {ell} must be an odd prime different from p")
     else:
         ells = select_ells(p, options.ell_bound)
 

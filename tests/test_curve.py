@@ -6,7 +6,6 @@ import random
 import pytest
 
 from roquette import curve as C
-from roquette import ff
 from roquette.ff import make_field
 from roquette.group import get_group
 
@@ -220,15 +219,14 @@ def test_fixed_degree_named_values(group5):
     assert C.fixed_scheme_degree(G, G.mul(G.unipotent(), G.involution)) == 1
 
 
-def test_lambda_route_consistency(group5, group7):
-    # the lambda realization must commute with the canonical tower arrows;
-    # degree 10 does not contain F_{p^4} and picks one of the two embeddings
-    # of F_{p^2} (p = 5 and p = 7 take different ones), which a lambda
-    # outside F_p tells apart
-    for G, k in ((group5, 4), (group5, 10), (group7, 10)):
-        small, big = make_field(G.p, k), make_field(G.p, 2 * k)
-        up = ff.embedding(small, big)
-        outside = next(g for g in G.elements if G.lam_element(g).coeffs[1])
-        for g in (G.involution, G.unipotent(), G.elements[100], G.elements[201],
-                  outside):
-            assert up.apply(C.lambda_in(G, g, small)) == C.lambda_in(G, g, big)
+@pytest.mark.parametrize("p,k", [(5, 2), (5, 4), (5, 10), (5, 12), (7, 4), (7, 10)])
+def test_lambda_squares_to_det_in_every_working_field(p, k):
+    G, F = get_group(p), make_field(p, k)
+    for g in G.elements:
+        lam = C.lambda_in(G, g, F)
+        assert lam * lam == F.element(g[0] * g[3] - g[1] * g[2])
+
+
+def test_lambda_needs_an_even_degree_field(group5):
+    with pytest.raises(ValueError):
+        C.lambda_in(group5, group5.involution, make_field(5, 3))

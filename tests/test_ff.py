@@ -1,4 +1,4 @@
-"""Field arithmetic: axioms, square roots, embeddings.
+"""Field arithmetic: axioms, square roots, moduli.
 
 Derived expectations are computed by independent oracles inside the
 tests (naive polynomial division, exhaustive enumeration) and compared
@@ -62,24 +62,6 @@ def schoolbook_mul(field, a, b):
             prod[i + j] += ai * bj
     rem = poly_divmod_naive(prod, list(field.modulus), p)
     return tuple(rem + [0] * (k - len(rem)))
-
-
-def lex_min_root_by_orbit(modulus, target, rng):
-    """One root by equal-degree splitting, then its Frobenius orbit; the
-    oracle for ff._lex_min_root, which splits out every root instead."""
-    f = Poly(target, tuple(target.element(c) for c in modulus))
-    while f.degree() > 1:
-        shift = target.random_element(rng)
-        probe = Poly(target, (shift, target.one())).pow_mod(
-            (target.order - 1) // 2, f) - Poly.one(target)
-        d = probe.gcd(f)
-        if 0 < d.degree() < f.degree():
-            f = d if d.degree() <= f.degree() - d.degree() else f.exact_div(d)
-    root = -(f.coeffs[0] / f.coeffs[1])
-    orbit = [root]
-    for _ in range(len(modulus) - 2):
-        orbit.append(orbit[-1] ** target.p)
-    return min(orbit, key=lambda e: e.coeffs)
 
 
 def irreducible_by_gcd(f, p):
@@ -289,46 +271,6 @@ def test_sqrt_tonelli_shanks_large_field():
 def test_sqrt_exhaustive_refuses_large_fields():
     with pytest.raises(ValueError):
         sqrt_exhaustive(make_field(5, 12).one(), limit=10 ** 6)
-
-
-def test_embedding_full_f25_injective_and_multiplicative():
-    F25 = make_field(5, 2)
-    F625 = make_field(5, 4)
-    emb = ff.embedding(F25, F625)
-    images = {}
-    for a in F25.elements():
-        images[a.coeffs] = emb.apply(a)
-    assert len(set(im.coeffs for im in images.values())) == 25  # injective
-    elems = list(F25.elements())
-    for a in elems:
-        for b in elems:
-            assert emb.apply(a * b) == images[a.coeffs] * images[b.coeffs]
-            assert emb.apply(a + b) == images[a.coeffs] + images[b.coeffs]
-
-
-def test_embedding_root_satisfies_source_modulus():
-    for src_k, tgt_k in [(2, 4), (2, 8), (4, 8), (2, 12)]:
-        src = make_field(5, src_k)
-        tgt = make_field(5, tgt_k)
-        emb = ff.embedding(src, tgt)
-        img = emb.apply(src.gen())
-        val = tgt.zero()
-        for i, c in enumerate(src.modulus):
-            val = val + img ** i * c
-        assert val.is_zero()
-
-
-@pytest.mark.parametrize("p,s,t", [(5, 2, 4), (5, 4, 12), (5, 10, 20),
-                                   (7, 4, 12), (31, 2, 4)])
-def test_lex_min_root_matches_frobenius_orbit_oracle(p, s, t):
-    src, tgt = make_field(p, s), make_field(p, t)
-    oracle = lex_min_root_by_orbit(src.modulus, tgt, random.Random(1))
-    assert ff._lex_min_root(src.modulus, tgt) == oracle
-
-
-def test_embedding_requires_divisible_degree():
-    with pytest.raises(ValueError):
-        ff.embedding(make_field(5, 2), make_field(5, 3))
 
 
 def test_elements_enumeration_is_lexicographic():

@@ -113,7 +113,7 @@ def test_lambda_squares_to_det_and_is_frobenius_fixed():
     for p in (5, 7):
         G = get_group(p)
         for g in G.elements:
-            lam = G.lam_element(g)
+            lam = G.fp2.element((g[4], g[5]))
             sq = lam * lam
             assert sq == G.fp2.element(g[0] * g[3] - g[1] * g[2])
             assert sq.frobenius() == sq

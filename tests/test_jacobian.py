@@ -186,13 +186,20 @@ def test_act_on_class_non_split_support_commutes_with_embedding(group5, jac54):
     # classes over F_{5^4} whose u is irreducible: act there, then embed into
     # F_{5^8} where u splits, and compare with embedding first and acting there
     G = group5
-    f8 = make_field(5, 8)
+    f4, f8 = jac54.field, make_field(5, 8)
     jac8 = J.CurveJacobian(f8, 5)
-    emb = ff.embedding(jac54.field, f8)
+
+    def embed(a, gen):
+        return sum((c * gen ** i for i, c in enumerate(a.coeffs)), f8.zero())
+    # F_{5^4} -> F_{5^8} sends the generator to a root of the F_{5^4} modulus;
+    # of the four, take one that carries the root of the F_{5^2} modulus
+    # used for lambda in F_{5^4} to the one used in F_{5^8}
+    gen = next(r for r, _ in roots_with_multiplicity(Poly.from_ints(f8, f4.modulus))
+               if embed(C._fp2_root(f4), r) == C._fp2_root(f8))
 
     def up(D):
-        return J.MumfordDivisor(f8, Poly(f8, [emb.apply(c) for c in D.u.coeffs]),
-                                Poly(f8, [emb.apply(c) for c in D.v.coeffs]))
+        return J.MumfordDivisor(f8, Poly(f8, [embed(c, gen) for c in D.u.coeffs]),
+                                Poly(f8, [embed(c, gen) for c in D.v.coeffs]))
 
     rng = random.Random(9)
     seen = 0
@@ -353,6 +360,22 @@ def test_traces_of_inverse_agree(group5, torsion3):
         t1 = J.mat_trace(J.rep_matrix(G, g, torsion3), 3)
         t2 = J.mat_trace(J.rep_matrix(G, G.inv(g), torsion3), 3)
         assert t1 == t2
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_traces_and_character_independent_of_the_fp2_root(p, request, monkeypatch):
+    # the two roots of the F_{p^2} modulus realize lambda up to Frobenius,
+    # which leaves traces and fixed-point counts unchanged; under either
+    # root the traces agree with the character mod 3
+    G = get_group(p)
+    tb = request.getfixturevalue("torsion3" if p == 5 else "torsion3_p7")
+    before = (J.rho_ell_traces(G, tb), CH.lefschetz_character(G))
+    root, m1 = C._fp2_root, G.fp2.modulus[1]
+    assert -m1 - root(tb.field) != root(tb.field)
+    monkeypatch.setattr(C, "_fp2_root", lambda target: -m1 - root(target))
+    assert (J.rho_ell_traces(G, tb), CH.lefschetz_character(G)) == before
+    traces, chi = before
+    assert all((cv - tv) % 3 == 0 for cv, tv in zip(chi.values, traces.values))
 
 
 def test_crt_reconstruction_equals_character(group5, traces3, traces7):

@@ -219,6 +219,22 @@ def test_usage_errors(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
+    # trial division of either number would not finish; the size bounds
+    # must reject both before is_prime sees them
+    real = R.is_prime
+
+    def small_only(n):
+        if n > 10 ** 6:
+            raise AssertionError(f"is_prime called on {n}")
+        return real(n)
+    monkeypatch.setattr(R, "is_prime", small_only)
+    with pytest.raises(UsageError, match="exceeds the configured maximum"):
+        run_pipeline(100000000000000000039)
+    with pytest.raises(UsageError, match="exceeds the bound"):
+        run_pipeline(5, PipelineOptions(ell=(1000000000000000000000007,)))
+
+
 def test_skip_reason_at_scale():
     report = run_pipeline(11, PipelineOptions())
     skip = next(c for c in report.checks if c.name == "ell_witness")
