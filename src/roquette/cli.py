@@ -18,8 +18,14 @@ import sys
 from .report import PipelineOptions, UsageError, emit, run_pipeline
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, like every usage error
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="verify",
         description="Verify the lifting obstruction carried by the curve "
                     "y^2 = x^p - x for a concrete prime p.")

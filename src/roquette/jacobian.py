@@ -5,9 +5,10 @@ Divisor classes are reduced Mumford pairs (u, v): u monic of degree at
 most the genus, v of smaller degree, with v^2 = x^p - x mod u.  The group
 law is Cantor composition and reduction; the identity is (1, 0).
 
-Over F_{p^(2m)} Frobenius acts on the Jacobian as the scalar (eps*p)^m,
-eps = curve.frobenius_sign(p): so #J = (1 - (eps*p)^m)^(2g), and the full
-ell-torsion is rational for m the multiplicative order of eps*p mod ell.
+Over F_q = F_{p^(2m)} Frobenius acts on the Jacobian as the scalar
+(eps*p)^m, eps = curve.frobenius_sign(p): so J(F_q) = J[N] for
+N = |(eps*p)^m - 1| (Mumford, Abelian Varieties, section 19), #J = N^(2g),
+and J[ell] is rational for m the multiplicative order of eps*p mod ell.
 The report's hasse_weil_sharp check certifies eps from the count of
 C(F_{p^2}), so nothing here counts points again.
 
@@ -130,7 +131,7 @@ class CurveJacobian:
             u = (self.f - v * v).exact_div(u)
             u = u.monic()
             v = (-v) % u
-        return MumfordDivisor(self.field, u.monic(), v % u.monic())
+        return MumfordDivisor(self.field, u, v % u)
 
     def scalar_mul(self, n: int, D: MumfordDivisor) -> MumfordDivisor:
         if n < 0:
@@ -257,13 +258,14 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
                   bound: int = 10_000) -> TorsionBasis:
     """A basis of the full ell-torsion, found by seeded random sampling.
 
-    Random classes over F_{p^(2m)} are multiplied by the prime-to-ell part
-    of the Jacobian order, stripped to exact order ell, and kept when they
-    lie outside the span of the vectors kept so far.  That span is
-    enumerated as the coordinate table, up to but not including the last
-    vector: ell^(2g-1) classes.  The last vector enters only through its
-    ell multiples -c * basis[-1], the giant steps of the lookup in
-    `TorsionBasis.coordinates`.
+    As J(F_q) = J[N], N/ell sends each random class over F_q into J[ell]
+    (checked); images outside the span of the vectors kept so far are kept.
+    If ell^2 does not divide N, as in every default run, the prime-to-ell
+    part (N/ell)^(2g) of #J keeps the same samples; if ell^2 | N, the kept
+    set may differ.  The span is enumerated as the coordinate table, up to
+    but not including the last vector: ell^(2g-1) classes.  The last vector
+    enters only through its ell multiples -c * basis[-1], the giant steps
+    of the lookup in `TorsionBasis.coordinates`.
     """
     p = group.p
     if not ff.is_prime(ell):
@@ -274,19 +276,12 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     if ell ** g2 > bound:
         raise ValueError(
             f"ell^(2g) = {ell ** g2} exceeds the brute-force bound {bound}")
+    frob = curve.frobenius_sign(p) * p
     m = 1
-    while pow(curve.frobenius_sign(p) * p, m, ell) != 1:
+    while pow(frob, m, ell) != 1:
         m += 1
     field = make_field(p, 2 * m)
-    n_jac = jacobian_order(p, m)
-    v = 0
-    rest = n_jac
-    while rest % ell == 0:
-        rest //= ell
-        v += 1
-    if v < g2:
-        raise RuntimeError("ell-part of the Jacobian order is too small")
-    cofactor = n_jac // ell ** v
+    cofactor = abs(frob ** m - 1) // ell  # N/ell; ell | N by the choice of m
     jac = CurveJacobian(field, p)
     rng = random.Random(seed * 1_000_003 + ell)
     zero = jac.zero()
@@ -300,16 +295,12 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
             raise RuntimeError("torsion basis search did not converge")
         D = jac.random_divisor(rng)
         E = jac.scalar_mul(cofactor, D)
-        if E.is_zero():
-            continue
-        # strip to exact order ell
-        while True:
-            F_next = jac.scalar_mul(ell, E)
-            if F_next.is_zero():
-                break
-            E = F_next
         if E.key() in table:
             continue
+        if not jac.scalar_mul(ell, E).is_zero():
+            raise RuntimeError(
+                f"(N/ell) * D is not killed by ell = {ell}; "
+                "J(F_q) is not J[N] as computed")
         basis.append(E)
         if len(basis) == g2:
             break
@@ -328,7 +319,8 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     giant_steps = [zero, back]
     while len(giant_steps) < ell:
         giant_steps.append(jac.add(giant_steps[-1], back))
-    return TorsionBasis(ell=ell, m=m, field=field, jacobian_order=n_jac,
+    return TorsionBasis(ell=ell, m=m, field=field,
+                        jacobian_order=jacobian_order(p, m),
                         basis=tuple(basis), table=table,
                         giant_steps=tuple(giant_steps), seed=seed)
 

@@ -13,6 +13,7 @@ from roquette import jacobian as J
 from roquette.ff import make_field
 from roquette.group import get_group
 from roquette.poly import Poly, roots_with_multiplicity
+from roquette.report import PipelineOptions, run_pipeline
 
 
 def mat_det(A, ell):
@@ -296,6 +297,43 @@ def test_class_missing_from_the_table_left_the_span(group5, torsion3):
     broken = dataclasses.replace(tb, table=table)
     with pytest.raises(RuntimeError, match="left the span"):
         J.rep_matrix(group5, group5.involution, broken)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)])
+def test_rational_points_are_the_N_torsion(p, m):
+    # Frobenius is the scalar (eps*p)^m over F_{p^(2m)}, so J(F_q) = J[N]
+    N = abs((C.frobenius_sign(p) * p) ** m - 1)
+    assert J.jacobian_order(p, m) == N ** (p - 1)
+    jac = J.CurveJacobian(make_field(p, 2 * m), p)
+    rng = random.Random(p * 100 + m)
+    for _ in range(3):
+        assert jac.scalar_mul(N, jac.random_divisor(rng)).is_zero()
+
+
+def test_torsion_basis_rejects_a_sample_ell_does_not_kill(group7, monkeypatch):
+    # with the sign flipped, m = 1 and N/ell = 6/3 = 2 over F_49, but the
+    # rational classes there are J[8]: twice a sample is not 3-torsion
+    real = C.frobenius_sign
+    monkeypatch.setattr(C, "frobenius_sign", lambda p: -real(p))
+    with pytest.raises(RuntimeError, match=r"\(N/ell\) \* D is not killed by ell = 3"):
+        J.torsion_basis(group7, 3, seed=1)
+
+
+def test_witness_cantor_additions_at_p5(monkeypatch):
+    # a machine-independent work count: one scalar N/ell per sample, at
+    # most one order check per kept sample (879 additions with the full
+    # prime-to-ell cofactor and the strip to order ell)
+    calls = 0
+    real = J.CurveJacobian.add
+
+    def counting_add(self, D1, D2):
+        nonlocal calls
+        calls += 1
+        return real(self, D1, D2)
+    monkeypatch.setattr(J.CurveJacobian, "add", counting_add)
+    report = run_pipeline(5, PipelineOptions(ell=(3, 7), seed=1))
+    assert report.exit_code == 0
+    assert calls <= 683
 
 
 def test_torsion_rejects_bad_ell(group5):

@@ -217,6 +217,14 @@ def test_usage_errors(capsys):
         assert main(["--prime", "5", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # so is every error the argument parser finds
+    for argv in (["--prime", "5", "--seed", "x"], ["--prime", "5", "--format", "xml"],
+                 ["--prime", "five"], []):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: verify")
 
 
 def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
