@@ -86,12 +86,13 @@ def sylow_restriction(group: RoquetteGroup,
 
 
 def fs_indicator(group: RoquetteGroup, chi: ClassFunction) -> Fraction:
-    """Frobenius-Schur indicator (1/|G|) sum of chi(g^2) over the group."""
-    index = group.class_index
-    counts = [0] * len(chi)
-    for g in group.elements:
-        counts[index[group.mul(g, g)]] += 1
-    total = sum(c * v for c, v in zip(counts, chi.values))
+    """Frobenius-Schur indicator (1/|G|) sum of chi(g^2) over the group.
+
+    Squares of conjugates are conjugate, so the sum is taken over classes:
+    sum of |C| * chi(rep^2), one multiplication per class.
+    """
+    total = sum(cls.size * chi.values[group.class_of(group.mul(cls.rep, cls.rep))]
+                for cls in group.conjugacy_classes)
     return Fraction(total, group.order)
 
 

@@ -11,6 +11,11 @@ to 1, and that normal form is what we store: a plain 6-tuple
 of integers mod p -- the matrix entries and the two coordinates of lam in
 the fixed polynomial basis of F_{p^2}.  Tuples keep equality, hashing and
 enumeration cheap; all structure lives on the RoquetteGroup context.
+
+Conjugacy classes are orbits of three fixed conjugators, certified by size:
+an orbit of |G| / |C_G(A, lam)| elements is a whole class, and
+|C_G(A, lam)| = 2 (n+ + [p = 3 mod 4] n-) / (p - 1), with n+ and n- the
+numbers of B in GL_2(F_p) with BA = AB and BA = -AB (_centralizer_order).
 """
 
 from __future__ import annotations
@@ -149,13 +154,16 @@ class RoquetteGroup:
         return acc
 
     def element_order(self, g: GroupElement) -> int:
-        acc = g
-        n = 1
-        while acc != self.identity:
-            acc = self.mul(acc, g)
-            n += 1
-            if n > self.order:
-                raise RuntimeError("order exceeds group order; broken element")
+        """The least n with g^n = 1: from n = |G|, strip each prime q of |G|
+        while g^(n/q) is still the identity.  Largest q first, which
+        shortens the later exponents most."""
+        n = self.order
+        for q in reversed(ff.prime_factors(self.order)):
+            while n % q == 0 and self.power(g, n // q) == self.identity:
+                n //= q
+        # a strip proves g^n = 1; with none, only Lagrange vouches for it
+        if n == self.order and self.power(g, n) != self.identity:
+            raise RuntimeError("g^|G| != 1; broken element")
         return n
 
     # -- enumeration -------------------------------------------------------------------
@@ -204,15 +212,15 @@ class RoquetteGroup:
     def conjugacy_classes(self) -> tuple:
         """The conjugacy classes, each as the orbit of its representative.
 
-        The central involution conjugates trivially, and together with the
-        three conjugators of _conjugators it generates G; that is checked
-        once by closing the four under multiplication (RuntimeError if they
-        fall short).  So a class is the orbit of its representative under
-        x -> s x s^(-1) for s among the conjugators, filled by breadth-first
-        search (Holt, Eick, O'Brien, Handbook of Computational Group Theory,
-        section 4.1).  Representatives are the first element of each class
-        in the order of `elements`, and classes are listed in the order of
-        their representatives.
+        A class is filled by breadth-first search of its representative's
+        orbit under x -> s x s^(-1) for s among the three conjugators of
+        _conjugators (Holt, Eick, O'Brien, Handbook of Computational Group
+        Theory, section 4.1).  An orbit lies inside one class, so an orbit
+        of |G| / |C_G(rep)| elements is the whole class; every orbit is
+        checked against that size (RuntimeError otherwise), with the
+        centralizer order from _centralizer_order.  Representatives are the
+        first element of each class in the order of `elements`, and classes
+        are listed in the order of their representatives.
         """
         if self._classes is None:
             self._compute_classes()
@@ -220,7 +228,8 @@ class RoquetteGroup:
 
     @property
     def class_index(self) -> dict:
-        """Map element -> index into conjugacy_classes."""
+        """Map element -> index into conjugacy_classes.  Its keys are the
+        tuples that `elements` holds."""
         if self._class_index is None:
             self._compute_classes()
         return self._class_index
@@ -234,29 +243,42 @@ class RoquetteGroup:
         return (self.unipotent(), (1, 0, 1, 1, 1, 0),
                 self.canonicalize(r, 0, 0, 1, *self._det_roots[r][0]))
 
-    def _check_generates(self, generators: tuple):
-        """Raise RuntimeError unless `generators` generate all of G."""
-        closure = {self.identity}
-        queue = [self.identity]
-        for x in queue:  # breadth-first: the loop also visits what it appends
-            for s in generators:
-                y = self.mul(x, s)
-                if y not in closure:
-                    closure.add(y)
-                    queue.append(y)
-        if len(closure) != self.order:
-            raise RuntimeError(
-                f"the generating set reaches only {len(closure)} of {self.order} elements")
+    def _centralizer_order(self, g: GroupElement) -> int:
+        """|C_G(A, lam)| = 2 (n+ + [p = 3 mod 4] n-) / (p - 1), in O(1).
+
+        (B, mu) centralizes (A, lam) modulo the centre when BAB^(-1) = cA
+        and (c|p) c = 1, that is c = 1, or c = -1 when (-1|p) = -1; each B
+        has two mu, and the centre has p - 1 elements.  n+ counts the B in
+        GL_2(F_p) with BA = AB: all of GL_2 for scalar A, else the units of
+        the plane span{I, A}.  n- counts the B with BA = -AB: none unless
+        tr A = 0, and then the units of another plane.  A plane has p^2
+        units minus the zeros of det on it, a binary quadratic form: p when
+        it has rank 1, 2p - 1 when it splits, 1 when it is anisotropic.  On
+        span{I, A} that is decided by disc = tr^2 - 4 det (0, a nonzero
+        square, a non-square); on the anticommutant of a trace-zero A it
+        splits exactly when (-det|p) = 1.
+        """
+        p, leg = self.p, self._leg
+        a, b, c, d = g[:4]
+        tr, det = (a + d) % p, (a * d - b * c) % p
+        if b == c == 0 and a == d:
+            n_plus = (p * p - 1) * (p * p - p)
+        else:
+            disc = (tr * tr - 4 * det) % p
+            n_plus = p * p - (p if disc == 0 else 2 * p - 1 if leg[disc] == 1 else 1)
+        n_minus = 0
+        if p % 4 == 3 and tr == 0:
+            n_minus = p * p - (2 * p - 1 if leg[-det % p] == 1 else 1)
+        return 2 * (n_plus + n_minus) // (p - 1)
 
     def _compute_classes(self):
         mul = self.mul
-        conjugators = self._conjugators()
-        self._check_generates(conjugators + (self.involution,))
-        pairs = [(s, self.inv(s)) for s in conjugators]
-        index: dict = {}
+        pairs = [(s, self.inv(s)) for s in self._conjugators()]
+        # keyed on the tuples of `elements`: an equal product is not kept
+        index = dict.fromkeys(self.elements)
         classes = []
         for h in self.elements:
-            if h in index:
+            if index[h] is not None:
                 continue
             ci = len(classes)
             index[h] = ci
@@ -264,10 +286,15 @@ class RoquetteGroup:
             for x in orbit:
                 for s, si in pairs:
                     y = mul(mul(s, x), si)
-                    if y not in index:
+                    if index[y] is None:
                         index[y] = ci
                         orbit.append(y)
-            classes.append(ConjClass(rep=h, size=len(orbit)))
+            size = self.order // self._centralizer_order(h)
+            if len(orbit) != size:
+                raise RuntimeError(
+                    f"the orbit of {h} has {len(orbit)} elements, "
+                    f"but its class has {size}")
+            classes.append(ConjClass(rep=h, size=size))
         self._classes = tuple(classes)
         self._class_index = index
 

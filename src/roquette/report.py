@@ -205,11 +205,11 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
          size=len(sqrt_grp), cyclic=cyclic)
 
     ker = G.kernel_of_projection()
-    img = G.pgl_image()
+    image_size = len(G.pgl_image())
     mark("pgl_projection",
-         ker == {G.identity, G.involution} and len(img) == p * (p * p - 1),
+         ker == {G.identity, G.involution} and image_size == p * (p * p - 1),
          "the projective action is onto PGL_2(F_p) with kernel {1, involution}",
-         kernel_size=len(ker), image_size=len(img),
+         kernel_size=len(ker), image_size=image_size,
          expected_image=p * (p * p - 1))
 
     classes = G.conjugacy_classes

@@ -2,7 +2,7 @@ import pytest
 
 from roquette import curve, ff, jacobian
 from roquette.ff import make_field
-from roquette.group import get_group
+from roquette.group import RoquetteGroup, get_group
 from roquette.poly import Poly
 
 
@@ -62,6 +62,19 @@ def enumerate_reduced(jac) -> list:
 def classes_f25():
     """Every reduced class of the Jacobian of y^2 = x^5 - x over F_25."""
     return enumerate_reduced(jacobian.CurveJacobian(make_field(5, 2), 5))
+
+
+@pytest.fixture
+def mul_calls(monkeypatch) -> list:
+    """A one-element list counting RoquetteGroup.mul calls from now on."""
+    calls = [0]
+    mul = RoquetteGroup.mul
+
+    def counted(self, g, h):
+        calls[0] += 1
+        return mul(self, g, h)
+    monkeypatch.setattr(RoquetteGroup, "mul", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

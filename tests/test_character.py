@@ -126,6 +126,14 @@ def test_fs_indicator_brute_force_oracle(group5, chi5):
     assert Fraction(total, len(G.elements)) == CH.fs_indicator(G, chi5)
 
 
+def test_fs_indicator_makes_one_mult_per_class(mul_calls):
+    G = get_group(13)
+    chi = trivial_character(G)
+    mul_calls[0] = 0  # the classes may have been built just now
+    CH.fs_indicator(G, chi)
+    assert mul_calls[0] == len(G.conjugacy_classes)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_kernel_trivial(p):
     G = get_group(p)

@@ -1,6 +1,7 @@
 """Group structure: enumeration, normal form, conjugacy, distinguished
 subgroups, and the projective quotient."""
 
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,31 @@ def gl2_order(p):
 def proj_to_pgl(g):
     """Image in PGL_2(F_p): the canonically scaled matrix part."""
     return g[:4]
+
+
+def element_order_by_walking(G, g):
+    """The least n with g^n = 1, by multiplying g in until the identity;
+    the oracle for element_order."""
+    acc, n = g, 1
+    while acc != G.identity:
+        acc, n = G.mul(acc, g), n + 1
+    return n
+
+
+def centralizer_order_by_gl2(G, g):
+    """2 * #{B in GL_2(F_p) : BAB^(-1) = A, or = -A when p = 3 mod 4} / (p - 1),
+    counted over all p^4 matrices B; the oracle for _centralizer_order."""
+    p = G.p
+    a, b, c, d = g[:4]
+    count = 0
+    for e, f, h, k in itertools.product(range(p), repeat=4):
+        if (e * k - f * h) % p == 0:
+            continue
+        ba = ((e * a + f * c) % p, (e * b + f * d) % p, (h * a + k * c) % p, (h * b + k * d) % p)
+        ab = ((a * e + b * h) % p, (a * f + b * k) % p, (c * e + d * h) % p, (c * f + d * k) % p)
+        if ba == ab or (p % 4 == 3 and ba == tuple(-x % p for x in ab)):
+            count += 1
+    return 2 * count // (p - 1)
 
 
 def _classes_by_full_conjugation(G):
@@ -130,6 +156,19 @@ def test_element_orders():
 
 
 @pytest.mark.parametrize("p", [5, 7])
+def test_element_order_matches_walking_oracle(p):
+    G = get_group(p)
+    for g in G.elements:
+        assert G.element_order(g) == element_order_by_walking(G, g)
+
+
+def test_element_order_rejects_an_element_outside_the_group():
+    # [[1, 1], [1, 1]] is singular: no power of it is the identity
+    with pytest.raises(RuntimeError, match="broken element"):
+        get_group(5).element_order((1, 1, 1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("p", [5, 7])
 def test_orders_divide_group_order(p):
     G = get_group(p)
     rng = random.Random(41)
@@ -184,10 +223,48 @@ def test_classes_reject_a_non_generating_conjugator_set(monkeypatch):
     monkeypatch.setattr(RoquetteGroup, "_conjugators",
                         lambda self: (self.unipotent(),))
     G = RoquetteGroup(5)
-    with pytest.raises(RuntimeError, match="only 10 of 240"):
+    with pytest.raises(RuntimeError, match="has 5 elements, but its class has 30"):
         G.conjugacy_classes
-    with pytest.raises(RuntimeError, match="only 14 of 672"):
+    with pytest.raises(RuntimeError, match="has 7 elements, but its class has 56"):
         RoquetteGroup(7).class_index
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_centralizer_order_matches_gl2_count(p):
+    G = get_group(p)
+    for c in G.conjugacy_classes:
+        assert G._centralizer_order(c.rep) == centralizer_order_by_gl2(G, c.rep), c.rep
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_centralizer_order_matches_group_centralizer(p):
+    # counted in G itself, so the lift to (B, mu) and the centre are checked too
+    G = get_group(p)
+    for c in G.conjugacy_classes:
+        g = c.rep
+        assert G._centralizer_order(g) == sum(
+            G.mul(h, g) == G.mul(g, h) for h in G.elements), g
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_class_equation(p):
+    G = get_group(p)
+    assert sum(G.order // G._centralizer_order(c.rep) for c in G.conjugacy_classes) == G.order
+
+
+def test_classes_cost_six_mults_per_element(mul_calls):
+    # three conjugations of two mults each per element, and no other pass over G
+    G = RoquetteGroup(13)
+    G.conjugacy_classes
+    assert mul_calls[0] == 6 * G.order
+
+
+def test_class_index_keys_are_the_element_tuples():
+    G = RoquetteGroup(13)
+    els = G.elements
+    keys = list(G.class_index)
+    assert len(keys) == len(els)
+    assert all(k is e for k, e in zip(keys, els))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
