@@ -96,8 +96,8 @@ def fs_indicator(group: RoquetteGroup, chi: ClassFunction) -> Fraction:
     return Fraction(total, group.order)
 
 
-def kernel_of_character(group: RoquetteGroup, chi: ClassFunction) -> set:
-    """Elements with chi(g) = chi(1); trivial exactly when faithful."""
+def kernel_of_character(group: RoquetteGroup, chi: ClassFunction) -> list:
+    """The classes where chi = chi(1), by index; their union is the kernel,
+    trivial exactly when it is the identity class alone."""
     chi1 = chi.values[group.class_of(group.identity)]
-    kernel_classes = {i for i, v in enumerate(chi.values) if v == chi1}
-    return {g for g in group.elements if group.class_of(g) in kernel_classes}
+    return [i for i, v in enumerate(chi.values) if v == chi1]

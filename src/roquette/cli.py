@@ -5,8 +5,8 @@
            [--timings]
 
 Exit codes: 0 when every check passes and the verdict is "obstructed",
-1 when a check fails, 2 on usage errors, infeasible input or a report that
-cannot be written.
+1 when a check fails (a stage that raises is a failed check), 2 on usage
+errors, infeasible input or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", type=str, default=None,
                     help="write the report to this path instead of stdout")
     ap.add_argument("--precision", type=int, default=None,
-                    help="series precision for wild multiplicities (default 2p+4)")
+                    help="series precision for wild multiplicities, 2 to 2p+4 (default 2p+4)")
     ap.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-determinism)")
     return ap

@@ -11,9 +11,10 @@ import pytest
 
 import roquette
 from roquette import character as CH
-from roquette import curve, jacobian
+from roquette import curve, jacobian, series
 from roquette import report as R
 from roquette.cli import main
+from roquette.group import RoquetteGroup, get_group
 from roquette.report import (PipelineOptions, UsageError, emit, final_verdict,
                              run_pipeline, select_ells)
 
@@ -68,9 +69,9 @@ def test_witness_failure_becomes_a_failed_check(monkeypatch):
     assert report.failed[0].data == {
         "ell": 7, "error": "torsion basis search did not converge"}
     # the failed ell stays out of the witness block and the CRT
-    assert [w["ell"] for w in report.ell_witness] == [3]
-    assert report.crt_block == {"status": "skipped", "moduli": [3],
-                                "reason": "moduli product too small"}
+    assert [w["ell"] for w in report.blocks["ell_witness"]] == [3]
+    assert report.blocks["crt"] == {"status": "skipped", "moduli": [3],
+                                     "reason": "moduli product too small"}
     assert report.verdict["lifts"] == "not determined"
     assert report.exit_code == 1
 
@@ -93,6 +94,97 @@ def test_cli_reports_a_failed_witness(monkeypatch, capsys):
     assert doc["crt"] == {"status": "skipped", "moduli": [], "reason": "witness failed"}
     assert doc["verdict"]["lifts"] == "not determined"
     assert "FAILED: ell_witness_3" in captured.err
+
+
+@pytest.fixture
+def fresh_groups():
+    # a group built under a patched method must not outlive the test
+    get_group.cache_clear()
+    yield
+    get_group.cache_clear()
+
+
+def _failed_stage(argv, capsys):
+    """Run the CLI for a JSON report in which one stage raised; check the exit
+    status, stderr and verdict, and return the report and that stage's check."""
+    assert main([*argv, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    assert doc["verdict"]["lifts"] == "not determined"
+    raised = [c for c in doc["checks"] if c["status"] == "fail" and "error" in c["data"]]
+    assert len(raised) == 1
+    return doc, raised[0]
+
+
+def test_group_stage_failure_becomes_a_failed_check(fresh_groups, monkeypatch, capsys):
+    monkeypatch.setattr(RoquetteGroup, "_centralizer_order", lambda self, g: 1)
+    doc, failed = _failed_stage(["--prime", "11"], capsys)
+    assert failed["name"] == "group"
+    assert failed["data"]["error"] == (
+        "the orbit of (1, 0, 0, 1, 1, 0) has 1 elements, but its class has 2640")
+    # no later stage ran, so no block was written and no fact is known
+    assert [c["name"] for c in doc["checks"]] == BASE_CHECKS[:3] + [
+        "group", "verdict_obstructed"]
+    assert [doc[name] for name in R.BLOCKS] == [None] * len(R.BLOCKS)
+    assert doc["verdict"]["fs_indicator"] is None
+    assert doc["verdict"]["rationality_class_nontrivial"] is None
+    # the markdown report survives too
+    assert main(["--prime", "11"]) == 1
+    text = capsys.readouterr().out
+    assert "**Verdict: not determined.**" in text and "\u2717 `group`" in text
+
+
+def test_points_stage_failure_becomes_a_failed_check(monkeypatch, capsys):
+    def fails(p, k):
+        raise ValueError("no points today")
+
+    monkeypatch.setattr(curve, "point_count", fails)
+    doc, failed = _failed_stage(["--prime", "5"], capsys)
+    assert failed == {"name": "points", "status": "fail",
+                      "claim": "the point counts could not be computed",
+                      "data": {"error": "no points today"}}
+    assert [c["name"] for c in doc["checks"]] == BASE_CHECKS[:4] + [
+        "points", "verdict_obstructed"]
+    assert doc["group"]["order"] == 240 and doc["points"] is None
+
+
+def test_character_stage_failure_becomes_a_failed_check(monkeypatch, capsys):
+    def fails(*args):
+        raise RuntimeError("difference vanishes to precision")
+
+    monkeypatch.setattr(series, "wild_translation_multiplicity", fails)
+    doc, failed = _failed_stage(["--prime", "5"], capsys)
+    assert failed["name"] == "character"
+    assert failed["data"] == {"error": "difference vanishes to precision"}
+    assert [c["name"] for c in doc["checks"]] == BASE_CHECKS[:7] + [
+        "character", "verdict_obstructed"]
+    assert doc["hasse_weil"]["sharp"] is True
+    assert doc["character"] is doc["ell_witness"] is doc["crt"] is None
+    assert doc["verdict"]["integer_valued"] is None
+
+
+def test_failed_character_checks_carry_their_witnesses(monkeypatch):
+    # chi(1) on the order-p class puts that class in the kernel and breaks
+    # the sign rule there
+    G = get_group(5)
+    values = list(CH.lefschetz_character(G).values)
+    k = G.class_of(G.unipotent())
+    values[k] = values[G.class_of(G.identity)]
+    monkeypatch.setattr(CH, "lefschetz_character",
+                        lambda group, precision=None: CH.ClassFunction(5, tuple(values)))
+    checks = {c.name: c for c in run_pipeline(5, OPTS_FAST).checks}
+    assert checks["char_faithful"].status == "fail"
+    assert checks["char_faithful"].data == {
+        "kernel_size": 1 + G.conjugacy_classes[k].size,
+        "kernel_classes": sorted([G.class_of(G.identity), k])}
+    # the first class in class order whose partner under the involution is
+    # not its negative is k or that partner, whichever comes first
+    j = G.class_of(G.mul(G.conjugacy_classes[k].rep, G.involution))
+    first, other = min(k, j), max(k, j)
+    assert checks["char_sign_rule"].status == "fail"
+    assert checks["char_sign_rule"].data == {
+        "class": first, "expected": -values[first], "found": values[other]}
 
 
 def test_every_check_carries_claim_and_status(report5):
@@ -181,13 +273,13 @@ def test_quadratic_count_enumerated_once(monkeypatch):
     monkeypatch.setattr(curve, "point_count", counted)
     rep = run_pipeline(11)
     assert calls.count((11, 2)) == 1
-    assert rep.hasse_weil == {"count": 232, "gap": 110, "expected_gap": 110,
-                              "epsilon": -1, "sharp": True}
+    assert rep.blocks["hasse_weil"] == {"count": 232, "gap": 110, "expected_gap": 110,
+                                        "epsilon": -1, "sharp": True}
     rep = run_pipeline(5)
-    assert [w["ell"] for w in rep.ell_witness] == [3, 7]
+    assert [w["ell"] for w in rep.blocks["ell_witness"]] == [3, 7]
     assert calls.count((5, 2)) == 1
-    assert rep.hasse_weil == {"count": 6, "gap": 20, "expected_gap": 20,
-                              "epsilon": 1, "sharp": True}
+    assert rep.blocks["hasse_weil"] == {"count": 6, "gap": 20, "expected_gap": 20,
+                                        "epsilon": 1, "sharp": True}
 
 
 def test_usage_errors(capsys):
@@ -206,6 +298,7 @@ def test_usage_errors(capsys):
     for bad in (PipelineOptions(series_precision=0),
                 PipelineOptions(series_precision=-3),
                 PipelineOptions(series_precision=1),
+                PipelineOptions(series_precision=15),   # above 2p+4 = 14
                 PipelineOptions(ell_bound=-5),
                 PipelineOptions(ell=(3, 3)),
                 PipelineOptions(ell=())):
@@ -213,18 +306,27 @@ def test_usage_errors(capsys):
             run_pipeline(5, bad)
     # on the command line each is one line on stderr and exit status 2
     for args in (["--precision", "0"], ["--precision", "-3"], ["--precision", "1"],
-                 ["--ell-bound", "-5"], ["--ell", "3,3"], ["--ell", ""]):
+                 ["--precision", "15"], ["--precision", str(10 ** 6)],
+                 ["--ell-bound", "-5"], ["--ell", "3,3"], ["--ell", ""],
+                 ["--ell", "1"], ["--ell", "9"], ["--ell", "3,x"]):
         assert main(["--prime", "5", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-    # so is every error the argument parser finds
+    # so is every error the argument parser finds, and every bad prime
     for argv in (["--prime", "5", "--seed", "x"], ["--prime", "5", "--format", "xml"],
-                 ["--prime", "five"], []):
+                 ["--prime", "five"], [], ["--prime", "0"], ["--prime", "-7"],
+                 ["--prime", "32"], ["--prime", str(10 ** 40)]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: verify")
+
+
+def test_precision_bound_is_inclusive():
+    # 2p+4 is the default window itself, so it gives the default report
+    assert emit(run_pipeline(11, PipelineOptions(series_precision=26)), "markdown") == (
+        emit(run_pipeline(11), "markdown"))
 
 
 def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
@@ -255,8 +357,8 @@ def test_skip_reason_at_scale():
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 31])
 def test_wide_prime_range_obstructed(p):
     report = run_pipeline(p)
-    assert report.character_block["inner_product"] == 1
-    assert report.character_block["fs_indicator"] == -1
+    assert report.blocks["character"]["inner_product"] == 1
+    assert report.blocks["character"]["fs_indicator"] == -1
     skip = next(c for c in report.checks if c.name == "ell_witness")
     assert skip.status == "skipped" and "scale" in skip.claim
     assert report.failed == []
