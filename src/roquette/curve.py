@@ -1,14 +1,13 @@
-"""The curve y^2 = x^p - x: points, automorphism action, fixed points.
+"""The curve y^2 = x^p - x: points, counts, lambda in a working field,
+and the Lefschetz numbers of its automorphisms.
 
 An automorphism (A, lam) with A = [[a, b], [c, d]] sends an affine point
-(x, y) to ((a*x+b)/(c*x+d), lam * y / (c*x+d)^((p+1)/2)).  Points where
-c*x + d vanishes go to the point at infinity, and infinity itself goes to
-the unique point above a/c (a branch point, so the fibre is a singleton).
-These maps compose as a left action:  act(g*h, P) = act(g, act(h, P)),
-which is pinned down by a regression test rather than assumed.
-
-The double cover is ramified exactly over P^1(F_p), so branch x-values
-are the prime-field points plus infinity.
+(x, y) to ((a*x+b)/(c*x+d), lam * y / (c*x+d)^((p+1)/2)).  The double
+cover is ramified exactly over P^1(F_p), so branch x-values are the
+prime-field points plus infinity.  The Lefschetz number L(g) is computed
+from (A, lam) in F_{p^2}, where the fixed x-values of A already lie; no
+point is built or moved.  The point action itself is a test oracle, and
+tests count fixed points with it over F_{p^4} to check L(g).
 """
 
 from __future__ import annotations
@@ -55,12 +54,6 @@ def curve_value(x: FieldElement) -> FieldElement:
     return x.frobenius(1) - x
 
 
-def on_curve(P: CurvePoint) -> bool:
-    if P is INFINITY:
-        return True
-    return P.y * P.y == curve_value(P.x)
-
-
 def curve_points(p: int, k: int) -> list:
     """All points over F_{p^k}, affine in lex order of x then y, Infinity last."""
     field = make_field(p, k)
@@ -95,7 +88,7 @@ def expected_quadratic_count(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The action
+# lambda in a working field, and the Lefschetz number
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -121,105 +114,43 @@ def lambda_in(group: RoquetteGroup, g, target: FieldDescriptor) -> FieldElement:
     return g[4] + g[5] * _fp2_root(target)
 
 
-def act(group: RoquetteGroup, g, P: CurvePoint, field: FieldDescriptor | None = None,
-        check: bool = True) -> CurvePoint:
-    """Image of P under the automorphism g.
+def fixed_scheme_degree(group: RoquetteGroup, g, precision: int | None = None) -> int:
+    """The Lefschetz number L(g): the degree of the fixed-point scheme of
+    g = (A, lam) != 1, read off A = [[a, b], [c, d]] and lam in F_{p^2}.
 
-    P must lie over a field containing F_{p^2} (even degree); pass
-    `field` explicitly when P is Infinity.
-    """
-    p = group.p
-    if P is INFINITY:
-        if field is None:
-            raise ValueError("acting on Infinity requires an explicit field")
-        a, b, c, d = (field.element(v) for v in g[:4])
-        if c.is_zero():
-            return INFINITY
-        return Point(a / c, field.zero())
-    field = P.x.field
-    if check and not on_curve(P):
-        raise ValueError(f"point {P!r} is not on the curve")
-    a, b, c, d = (field.element(v) for v in g[:4])
-    t = c * P.x + d
-    if t.is_zero():
-        return INFINITY
-    lam = lambda_in(group, g, field)
-    x1 = (a * P.x + b) / t
-    y1 = lam * P.y * (t ** ((p + 1) // 2)).inverse()
-    return Point(x1, y1)
-
-
-# ---------------------------------------------------------------------------
-# Fixed points and the Lefschetz number
-# ---------------------------------------------------------------------------
-
-def ramification_points(p: int, field: FieldDescriptor) -> list:
-    """The p+1 branch points: (r, 0) for r in F_p, plus Infinity."""
-    return [Point(field.element(r), field.zero()) for r in range(p)] + [INFINITY]
-
-
-def fixed_points(group: RoquetteGroup, g, precision: int | None = None) -> list:
-    """Fixed points of g with multiplicities, as (point, mult) pairs.
-
-    Tame elements (order prime to p) have finitely many fixed points of
-    multiplicity 1, found from the fixed x-values of the Mobius map (the
-    roots of c x^2 + (d-a) x - b, plus infinity when c = 0) by testing the
-    fibre over F_{p^4}.  Wild elements fix a single branch point whose
-    multiplicity is the series valuation at infinity.
+    Wild g fix only the branch point above the fixed x-value of A, with
+    the series multiplicity of the normal form x -> x + 1, y -> sign * y
+    (every nontrivial unipotent of PGL_2(F_p) is conjugate to [[1, 1],
+    [0, 1]], and conjugation keeps lam).  A tame g fixes infinity when
+    c = 0, and the points above each root x0 in F_{p^2} of
+    c x^2 + (d - a) x - b (x0 = b / (d - a) when c = 0).  A root in F_p is
+    a branch point.  Above any other root, g sends y to m * y with
+    m = lam / (c x0 + d)^((p+1)/2) = +-1: both points are fixed when
+    m = 1, and swapped when m = -1.
     """
     p = group.p
     if g == group.identity:
-        raise ValueError("fixed points of the identity are the whole curve")
-    f4 = make_field(p, 4)
-    a, b, c, d = g[:4]
-
-    if c % p == 0 and b % p == 0 and a == d:
-        # scalar matrix part: g is the hyperelliptic involution
-        return [(pt, 1) for pt in ramification_points(p, f4)]
-
+        raise ValueError("the identity fixes the whole curve")
+    if g[1] == g[2] == 0 and g[0] == g[3]:
+        return p + 1  # the involution fixes the p + 1 branch points
     if group.is_wild(g):
-        u, sign = group.wild_normal_form(g)
-        mult = series.wild_translation_multiplicity(p, u, sign, precision)
-        if c % p == 0:
-            return [(INFINITY, mult)]
-        x0 = ((a - d) * group._inv[(2 * c) % p]) % p
-        return [(Point(f4.element(x0), f4.zero()), mult)]
-
-    # tame case: fixed x-values
-    fixed_x: list = []
-    infinity_fixed = False
-    if c % p == 0:
-        infinity_fixed = True
-        if a != d:
-            fixed_x.append(f4.element((b * group._inv[(d - a) % p]) % p))
-        # a == d tame with c == 0 forces b == 0, the scalar case handled above
+        return series.wild_translation_multiplicity(p, 1, group.wild_sign(g), precision)
+    F = group.fp2
+    a, b, c, d = (F.element(v) for v in g[:4])
+    lam = F.element(g[4:])
+    if c.is_zero():
+        roots = [b / (d - a)]
     else:
-        cc, dd, aa, bb = (f4.element(v) for v in (c, d, a, b))
-        disc = (dd - aa) * (dd - aa) + 4 * bb * cc
-        rt = ff.sqrt(disc)
-        if rt is None or rt.is_zero():
-            raise RuntimeError("tame element with degenerate fixed locus")
-        inv2c = (cc + cc).inverse()
-        fixed_x.extend([((aa - dd) + rt) * inv2c, ((aa - dd) - rt) * inv2c])
-
-    out = []
-    if infinity_fixed:
-        out.append((INFINITY, 1))
-    for x0 in fixed_x:
-        v = curve_value(x0)
-        if v.is_zero():
-            out.append((Point(x0, f4.zero()), 1))
+        rt = ff.sqrt((d - a) * (d - a) + 4 * b * c)
+        roots = [(a - d + rt) / (2 * c), (a - d - rt) / (2 * c)]
+    degree = 1 if c.is_zero() else 0
+    for x0 in roots:
+        if x0.frobenius(1) == x0:
+            degree += 1
             continue
-        y0 = ff.sqrt(v)
-        if y0 is None:
-            raise RuntimeError("fibre square root must exist over F_{p^4}")
-        P = Point(x0, y0)
-        if act(group, g, P, check=False) == P:
-            out.append((P, 1))
-            out.append((Point(x0, -y0), 1))
-    return out
-
-
-def fixed_scheme_degree(group: RoquetteGroup, g, precision: int | None = None) -> int:
-    """Total multiplicity of the fixed-point scheme of g (nonidentity)."""
-    return sum(m for _, m in fixed_points(group, g, precision))
+        m = lam / (c * x0 + d) ** ((p + 1) // 2)
+        if m == 1:
+            degree += 2
+        elif m != -1:
+            raise RuntimeError(f"{g} multiplies y by {m!r} above a fixed x-value")
+    return degree

@@ -16,6 +16,11 @@ Conjugacy classes are orbits of three fixed conjugators, certified by size:
 an orbit of |G| / |C_G(A, lam)| elements is a whole class, and
 |C_G(A, lam)| = 2 (n+ + [p = 3 mod 4] n-) / (p - 1), with n+ and n- the
 numbers of B in GL_2(F_p) with BA = AB and BA = -AB (_centralizer_order).
+
+A wild element (p divides its order) is conjugate to ([[1, 1], [0, 1]], s)
+with s = +-1, since every nontrivial unipotent of PGL_2(F_p) is conjugate
+to [[1, 1], [0, 1]] and conjugation keeps lam.  wild_sign reads s off
+(A, lam) without conjugating: s = +1 for order p, -1 for order 2p.
 """
 
 from __future__ import annotations
@@ -65,13 +70,6 @@ class RoquetteGroup:
         t = x1 * y1
         return (x0 * y0 - t * m0) % p, (x0 * y1 + x1 * y0 - t * m1) % p
 
-    def _lam_square_in_fp(self, l0, l1):
-        """lam^2 when it lies in F_p (guaranteed for group members)."""
-        s0, s1 = self._lam_mul(l0, l1, l0, l1)
-        if s1 != 0:
-            raise ValueError("lambda^2 is not in the prime field")
-        return s0
-
     def _build_det_roots(self):
         # for each nonzero det value, its two square roots in F_{p^2},
         # ordered lexicographically
@@ -92,20 +90,6 @@ class RoquetteGroup:
         sc = (self._leg[mu] * mu) % p
         return ((a * mu) % p, (b * mu) % p, (c * mu) % p, (d * mu) % p,
                 (l0 * sc) % p, (l1 * sc) % p)
-
-    def element(self, matrix, lam) -> GroupElement:
-        """Canonical class of (matrix, lam); validates the defining relation."""
-        a, b, c, d = (x % self.p for x in matrix)
-        if (a * d - b * c) % self.p == 0:
-            raise ValueError("matrix is singular")
-        if isinstance(lam, int):
-            l0, l1 = lam % self.p, 0
-        else:
-            le = self.fp2.element(lam)
-            l0, l1 = le.coeffs
-        if self._lam_square_in_fp(l0, l1) != (a * d - b * c) % self.p:
-            raise ValueError("lambda^2 != det(matrix)")
-        return self.canonicalize(a, b, c, d, l0, l1)
 
     @property
     def identity(self) -> GroupElement:
@@ -332,40 +316,23 @@ class RoquetteGroup:
         tr, det = (a + d) % p, (a * d - b * c) % p
         return (tr * tr - 4 * det) % p == 0
 
-    def wild_normal_form(self, g: GroupElement) -> tuple[int, int]:
-        """Conjugate a wild element to ([[1, u], [0, 1]], sign); return (u, sign).
+    def wild_sign(self, g: GroupElement) -> int:
+        """The y-multiplier s = +-1 of the normal form ([[1, u], [0, 1]], s)
+        of a wild g: +1 for order p, -1 for order 2p.
 
-        The matrix part has a unique eigenvalue t = tr/2; rebasing along the
-        rank-one nilpotent A - t*I gives the unipotent shape, and any square
-        root of the conjugator's determinant lifts the conjugation into the
-        group.  sign = +1 corresponds to order p, sign = -1 to order 2p.
+        A wild A has the single eigenvalue t = tr A / 2, so det A = t^2 and
+        lam = +-t.  The central element (I/t, (t|p)/t) takes g to
+        (A/t, (t|p) lam/t) with A/t unipotent, and conjugating that to the
+        normal form keeps lam.
         """
         if not self.is_wild(g):
             raise ValueError("element is not wild")
         p = self.p
-        a, b, c, d = g[:4]
-        t = ((a + d) * self._inv[2]) % p
-        n = ((a - t) % p, b % p, c % p, (d - t) % p)
-        # column e with n*e != 0
-        if n[0] or n[2]:
-            e = (1, 0)
-        else:
-            e = (0, 1)
-        ne = ((n[0] * e[0] + n[1] * e[1]) % p, (n[2] * e[0] + n[3] * e[1]) % p)
-        # basis change matrix w with columns (ne, e); conjugating by w^{-1}
-        w = (ne[0], e[0], ne[1], e[1])
-        detw = (w[0] * w[3] - w[1] * w[2]) % p
-        if detw == 0:
-            raise RuntimeError("degenerate basis in wild normalization")
-        lam_w = self._det_roots[detw][0]
-        wg = self.element((w[0], w[1], w[2], w[3]), self.fp2.element(lam_w))
-        rep = self.mul(self.mul(self.inv(wg), g), wg)
-        ra, rb, rc, rd, rl0, rl1 = rep
-        if not (ra == 1 and rd == 1 and rc == 0 and rb % p and rl1 == 0):
-            raise RuntimeError(f"wild normalization failed: {rep}")
-        if rl0 not in (1, p - 1):
-            raise RuntimeError("wild normal form has non-unit lambda")
-        return rb, (1 if rl0 == 1 else -1)
+        t = ((g[0] + g[3]) * self._inv[2]) % p
+        s = (self._leg[t] * g[4] * self._inv[t]) % p
+        if g[5] or s not in (1, p - 1):
+            raise RuntimeError(f"wild element {g} has a non-unit y-multiplier")
+        return 1 if s == 1 else -1
 
 
 @functools.lru_cache(maxsize=None)

@@ -285,7 +285,7 @@ def _character_stage(run: _Run) -> None:
     wild_ok, wild_data = True, {}
     for c in classes:
         if G.is_wild(c.rep):
-            _, sign = G.wild_normal_form(c.rep)
+            sign = G.wild_sign(c.rep)
             L = curve.fixed_scheme_degree(G, c.rep, run.options.series_precision)
             wild_data[f"sign_{sign:+d}"] = L
             wild_ok = wild_ok and (L == 3 if sign == 1 else L == 1)

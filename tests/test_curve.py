@@ -1,13 +1,17 @@
-"""Curve points, the automorphism action (closure, composition law,
-faithfulness) and fixed-point data."""
+"""Curve points, the point action (closure, composition law,
+faithfulness) and the Lefschetz numbers it checks."""
 
 import random
 
 import pytest
 
 from roquette import curve as C
+from roquette import ff
 from roquette.ff import make_field
 from roquette.group import get_group
+from roquette.report import run_pipeline
+
+from point_action import act, on_curve
 
 
 def brute_force_count(p, k):
@@ -38,7 +42,7 @@ def test_points_are_on_curve_and_distinct():
     assert len(pts) == len({(p.x.coeffs, p.y.coeffs) if p is not C.INFINITY else ()
                             for p in pts})
     for P in pts:
-        assert C.on_curve(P)
+        assert on_curve(P)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -55,13 +59,13 @@ def test_act_identity_and_named_elements(group5):
     f4 = make_field(5, 4)
     pts = C.curve_points(5, 4)
     for P in pts:
-        assert C.act(G, G.identity, P, field=f4) == P
-        Q = C.act(G, G.involution, P, field=f4)
+        assert act(G, G.identity, P, field=f4) == P
+        Q = act(G, G.involution, P, field=f4)
         if P is C.INFINITY:
             assert Q is C.INFINITY
         else:
             assert Q.x == P.x and Q.y == -P.y
-        R = C.act(G, G.unipotent(), P, field=f4)
+        R = act(G, G.unipotent(), P, field=f4)
         if P is not C.INFINITY:
             assert R.x == P.x + 1 and R.y == P.y
 
@@ -69,9 +73,9 @@ def test_act_identity_and_named_elements(group5):
 def test_act_rejects_off_curve_points(group5):
     f4 = make_field(5, 4)
     bogus = C.Point(f4.element(2), f4.element(1))
-    assert not C.on_curve(bogus)
+    assert not on_curve(bogus)
     with pytest.raises(ValueError):
-        C.act(group5, group5.involution, bogus)
+        act(group5, group5.involution, bogus)
 
 
 def test_act_closure_full_product(group5):
@@ -82,7 +86,7 @@ def test_act_closure_full_product(group5):
     assert len(pts) == 6
     for g in G.elements:
         for P in pts:
-            assert C.on_curve(C.act(G, g, P, field=f2, check=False))
+            assert on_curve(act(G, g, P, field=f2, check=False))
 
 
 def test_action_law_exhaustive_pairs(group5):
@@ -105,14 +109,14 @@ def test_action_law_exhaustive_pairs(group5):
     table = {}
     for h in els:
         for P in witnesses:
-            table[(h, key(P))] = C.act(G, h, P, field=f4, check=False)
+            table[(h, key(P))] = act(G, h, P, field=f4, check=False)
     for g in els:
         for h in els:
             gh = G.mul(g, h)
             for P in witnesses:
                 mid = table[(h, key(P))]
                 lhs = table[(gh, key(P))]
-                rhs = C.act(G, g, mid, field=f4, check=False)
+                rhs = act(G, g, mid, field=f4, check=False)
                 assert key(lhs) == key(rhs), (g, h)
 
 
@@ -126,8 +130,8 @@ def test_action_law_full_point_set_sampled_pairs(group5):
         g, h = rng.choice(els), rng.choice(els)
         gh = G.mul(g, h)
         for P in pts:
-            lhs = C.act(G, gh, P, field=f4, check=False)
-            rhs = C.act(G, g, C.act(G, h, P, field=f4, check=False),
+            lhs = act(G, gh, P, field=f4, check=False)
+            rhs = act(G, g, act(G, h, P, field=f4, check=False),
                         field=f4, check=False)
             assert lhs == rhs
 
@@ -144,8 +148,8 @@ def test_right_action_convention_fails(group5):
     for _ in range(200):
         g, h = rng.choice(els), rng.choice(els)
         gh = G.mul(g, h)
-        lhs = C.act(G, gh, generic, field=f4, check=False)
-        wrong = C.act(G, h, C.act(G, g, generic, field=f4, check=False),
+        lhs = act(G, gh, generic, field=f4, check=False)
+        wrong = act(G, h, act(G, g, generic, field=f4, check=False),
                       field=f4, check=False)
         if lhs != wrong:
             violated = True
@@ -159,46 +163,66 @@ def test_point_action_is_faithful(group5):
     pts = C.curve_points(5, 4)
     for g in G.elements:
         if g == G.identity:
-            assert all(C.act(G, g, P, field=f4, check=False) == P for P in pts)
+            assert all(act(G, g, P, field=f4, check=False) == P for P in pts)
         else:
-            assert any(C.act(G, g, P, field=f4, check=False) != P for P in pts)
+            assert any(act(G, g, P, field=f4, check=False) != P for P in pts)
 
 
 def test_fixed_points_involution(group5):
-    G = group5
-    fps = C.fixed_points(G, G.involution)
-    assert len(fps) == 6  # p + 1 ramification points
-    assert all(m == 1 for _, m in fps)
-    xs = {P.x.coeffs[0] for P, _ in fps if P is not C.INFINITY}
-    assert xs == {0, 1, 2, 3, 4}
-    assert any(P is C.INFINITY for P, _ in fps)
+    # the involution fixes exactly the p + 1 branch points
+    for p in (5, 7, 11, 13):
+        G = get_group(p)
+        assert C.fixed_scheme_degree(G, G.involution) == p + 1
+    f4 = make_field(5, 4)
+    fixed = [P for P in C.curve_points(5, 4)
+             if act(group5, group5.involution, P, field=f4, check=False) == P]
+    assert fixed == [C.Point(f4.element(r), f4.zero()) for r in range(5)] + [C.INFINITY]
 
 
-def test_fixed_points_wild(group5):
-    G = group5
-    u = G.unipotent()
-    fps = C.fixed_points(G, u)
-    assert fps == [(C.INFINITY, 3)]
-    fps2 = C.fixed_points(G, G.mul(u, G.involution))
-    assert fps2 == [(C.INFINITY, 1)]
+def test_fixed_points_wild():
+    # one fixed point, of multiplicity 3 for order p and 1 for order 2p
+    for p in (5, 7):
+        G = get_group(p)
+        for g in G.elements:
+            if G.is_wild(g):
+                assert C.fixed_scheme_degree(G, g) == (3 if G.wild_sign(g) == 1 else 1)
 
 
 def test_fixed_points_rejects_identity(group5):
     with pytest.raises(ValueError):
-        C.fixed_points(group5, group5.identity)
+        C.fixed_scheme_degree(group5, group5.identity)
 
 
-def test_fixed_points_really_are_fixed(group5):
-    G = group5
-    f4 = make_field(5, 4)
-    rng = random.Random(8)
-    for _ in range(60):
-        g = rng.choice(G.elements)
-        if g == G.identity:
-            continue
-        for P, mult in C.fixed_points(G, g):
-            assert mult >= 1
-            assert C.act(G, g, P, field=f4, check=False) == P
+def test_fixed_points_really_are_fixed():
+    """L(g) from (A, lam) equals #{P in C(F_{p^4}) : g P = P}, counted with
+    the point action, for every tame class representative.  Tame fixed
+    points have multiplicity 1 and lie over F_{p^4}, since their x-values
+    lie in F_{p^2}."""
+    for p in (5, 7):
+        G, f4 = get_group(p), make_field(p, 4)
+        pts = C.curve_points(p, 4)
+        reps = [c.rep for c in G.conjugacy_classes
+                if c.rep != G.identity and not G.is_wild(c.rep)]
+        degrees = [C.fixed_scheme_degree(G, g) for g in reps]
+        assert degrees == [sum(act(G, g, P, field=f4, check=False) == P for P in pts)
+                           for g in reps]
+        # the classes exercise every kind of tame fixed locus
+        assert set(degrees) == {0, 2, 4, p + 1}
+
+
+def test_lefschetz_numbers_stay_in_the_quadratic_field(monkeypatch):
+    """The pipeline takes no square root above F_{p^2}: fixed x-values and
+    lam live there, and p = 11 skips the witness."""
+    degrees = []
+    sqrt = ff.sqrt
+
+    def recorded(x):
+        degrees.append(x.field.k)
+        return sqrt(x)
+    monkeypatch.setattr(ff, "sqrt", recorded)
+    report = run_pipeline(11)
+    assert report.verdict["lifts"] == "obstructed"
+    assert degrees and max(degrees) <= 2
 
 
 @pytest.mark.parametrize("p", [5, 7])

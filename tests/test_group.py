@@ -90,11 +90,6 @@ def test_invalid_inputs_rejected():
         RoquetteGroup(4)
     with pytest.raises(ValueError):
         RoquetteGroup(3)
-    G = get_group(5)
-    with pytest.raises(ValueError):
-        G.element((1, 0, 0, 1), 2)  # 2^2 = 4 != det = 1
-    with pytest.raises(ValueError):
-        G.element((1, 2, 2, 4), 1)  # singular matrix
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -336,19 +331,21 @@ def test_involution_is_central():
 
 
 def test_wild_normal_form_all_wild_elements():
-    G = get_group(5)
-    for g in G.elements:
-        if not G.is_wild(g):
-            continue
-        u, sign = G.wild_normal_form(g)
-        assert 1 <= u <= 4
-        rep = (1, u, 0, 1, 1 if sign == 1 else 4, 0)
-        # the normal form is conjugate to g, hence shares its class
-        assert G.class_of(rep) == G.class_of(g)
-        assert G.element_order(g) == (5 if sign == 1 else 10)
+    # wild_sign names the normal form ([[1, 1], [0, 1]], s) of g's class
+    for p in (5, 7, 11):
+        G = get_group(p)
+        for g in G.elements:
+            if not G.is_wild(g):
+                continue
+            s = G.wild_sign(g)
+            rep = (1, 1, 0, 1, 1 if s == 1 else p - 1, 0)
+            assert G.class_of(rep) == G.class_of(g)
+            assert G.element_order(g) == (p if s == 1 else 2 * p)
 
 
 def test_wild_rejects_tame():
     G = get_group(5)
-    with pytest.raises(ValueError):
-        G.wild_normal_form(G.involution)
+    split = next(g for g in G.elements if g[1] == g[2] == 0 and g[3] != 1)
+    for g in (G.identity, G.involution, split):
+        with pytest.raises(ValueError):
+            G.wild_sign(g)

@@ -15,6 +15,8 @@ from roquette.group import get_group
 from roquette.poly import Poly, roots_with_multiplicity
 from roquette.report import PipelineOptions, run_pipeline
 
+from point_action import act
+
 
 def mat_det(A, ell):
     """Determinant mod ell by Gaussian elimination."""
@@ -156,8 +158,8 @@ def _pointwise_image(G, g, jac, points):
     moving each support point with the curve action."""
     acc = jac.zero()
     for P in points:
-        acc = jac.add(acc, jac.from_point(C.act(G, g, P)))
-    base = jac.from_point(C.act(G, g, C.INFINITY, field=jac.field))
+        acc = jac.add(acc, jac.from_point(act(G, g, P)))
+    base = jac.from_point(act(G, g, C.INFINITY, field=jac.field))
     return jac.add(acc, jac.scalar_mul(-len(points), base))
 
 
