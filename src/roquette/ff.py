@@ -22,6 +22,10 @@ product never carry.  The k-1 high digits of the product are folded back
 onto the k low ones by adding precomputed packed rows c * (x^(k+i) mod f),
 c = 0..p-1, built on first use per field; the k digits are then unpacked
 and reduced mod p.
+
+An inverse is one extended-Euclid loop on the coefficient lists of the
+modulus and the element; on a zero divisor of a reducible modulus it raises
+ZeroDivisionError, which Rabin's irreducibility test reads as "not a unit".
 """
 
 from __future__ import annotations
@@ -66,46 +70,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Small integer-coefficient polynomial helpers over F_p (low degree first).
-# These back the extended Euclid of FieldElement.inverse; they work on plain
-# lists of ints to keep the inner loops fast.
-# ---------------------------------------------------------------------------
-
-def _zp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _zp_trim([c % p for c in out])
-
-
-def _zp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by m over F_p (m nonzero)."""
-    rem = [c % p for c in a]
-    _zp_trim(rem)
-    dm = len(m) - 1
-    q = [0] * max(0, len(rem) - dm)
-    inv_lead = pow(m[-1], p - 2, p)
-    while rem and len(rem) - 1 >= dm:
-        shift = len(rem) - 1 - dm
-        factor = (rem[-1] * inv_lead) % p
-        q[shift] = factor
-        for i, mi in enumerate(m):
-            rem[shift + i] = (rem[shift + i] - factor * mi) % p
-        _zp_trim(rem)
-    return _zp_trim(q), rem
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -334,30 +298,36 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        """Extended Euclid on the coefficient lists of (modulus, self), with
+        r0 = s0 * self and r1 = s1 * self modulo the modulus throughout, and
+        deg s < k.  ZeroDivisionError for zero and for a zero divisor."""
+        field = self.field
+        p, k = field.p, field.k
+        r1 = list(self.coeffs)
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
             raise ZeroDivisionError("inverse of zero")
-        p = self.field.p
-        if self.field.k == 1:
-            return FieldElement(self.field, (pow(self.coeffs[0], p - 2, p),))
-        # extended Euclid on (poly, modulus)
-        a = _zp_trim(list(self.coeffs))
-        m = list(self.field.modulus)
-        r0, r1 = m, a
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _zp_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            qs1 = _zp_mul(q, s1, p)
-            news = [(x - y) % p for x, y in itertools.zip_longest(s0, qs1, fillvalue=0)]
-            _zp_trim(news)
-            s0, s1 = s1, news
-        # r0 = gcd, a nonzero constant unless the modulus is reducible
-        if len(r0) > 1:
+        r0 = list(field.modulus)
+        s0, s1 = [0] * k, [1] + [0] * (k - 1)
+        while len(r1) > 1:
+            minus_inv = p - pow(r1[-1], p - 2, p)
+            n = k + 2 - len(r0)  # deg s1 = k - deg r0: s1 has n live coefficients
+            while len(r0) >= len(r1):
+                # cancel the lead of r0 with c x^sh r1, and the same on s0
+                c = r0.pop() * minus_inv % p
+                sh = len(r0) + 1 - len(r1)
+                for i, b in enumerate(r1[:-1], sh):
+                    r0[i] = (r0[i] + c * b) % p
+                for i, b in enumerate(s1[:n], sh):
+                    s0[i] = (s0[i] + c * b) % p
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if not r1:
             raise ZeroDivisionError("not a unit: it shares a factor with the modulus")
-        c_inv = pow(r0[0], p - 2, p)
-        inv = [(c * c_inv) % p for c in s0]
-        inv += [0] * (self.field.k - len(inv))
-        return FieldElement(self.field, tuple(inv[:self.field.k]))
+        c = pow(r1[0], p - 2, p)
+        return FieldElement(field, tuple([a * c % p for a in s1]))
 
     def __truediv__(self, other):
         o = self._coerce(other)

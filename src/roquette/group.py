@@ -48,8 +48,6 @@ class RoquetteGroup:
             raise ValueError(f"p must be a prime >= 5, got {p}")
         self.p = p
         self.order = 2 * p * (p * p - 1)
-        self.genus = (p - 1) // 2
-        self.fp = make_field(p, 1)
         self.fp2 = make_field(p, 2)
         # z^2 = -m1*z - m0 in F_{p^2}
         m0, m1, _ = self.fp2.modulus

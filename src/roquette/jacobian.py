@@ -235,7 +235,6 @@ class TorsionBasis:
     basis: tuple
     table: dict  # divisor key -> coordinates along basis[:-1], mod ell
     giant_steps: tuple
-    seed: int
 
     @property
     def span_size(self) -> int:
@@ -322,7 +321,7 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     return TorsionBasis(ell=ell, m=m, field=field,
                         jacobian_order=jacobian_order(p, m),
                         basis=tuple(basis), table=table,
-                        giant_steps=tuple(giant_steps), seed=seed)
+                        giant_steps=tuple(giant_steps))
 
 
 def rep_matrix(group: RoquetteGroup, g, basis: TorsionBasis) -> tuple:

@@ -1,11 +1,12 @@
 """Field arithmetic: axioms, square roots, moduli.
 
 Derived expectations are computed by independent oracles inside the
-tests (naive polynomial division, exhaustive enumeration) and compared
-against the module under test.
+tests (naive polynomial division, exhaustive enumeration, Fermat's
+a^(q - 2)) and compared against the module under test.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -132,6 +133,13 @@ def test_modulus_is_irreducible_by_gcd_oracle():
     assert not ff._is_irreducible(f, 5)
 
 
+# reducible moduli over F_p, as products of first irreducibles of the given
+# degrees: a square 2*2, then 2+4, 2+4+6, 1+3 (the degree-1 factor is x) and
+# the square 4*4
+REDUCIBLE_RINGS = [(5, (2, 2)), (5, (2, 4)), (5, (2, 4, 6)), (7, (1, 3)),
+                   (13, (4, 4))]
+
+
 def test_inverse_of_a_zero_divisor_raises():
     # x^2 + 1 = (x - 2)(x - 3) over F_5, so x - 2 is no unit modulo it
     F = ff.FieldDescriptor(5, 2, (1, 0, 1))
@@ -139,6 +147,65 @@ def test_inverse_of_a_zero_divisor_raises():
     assert (x - 2) * (x - 3) == F.zero()
     with pytest.raises(ZeroDivisionError):
         (x - 2).inverse()
+    # in each ring an element raises exactly when Poly.gcd finds a factor it
+    # shares with the modulus; every other element has an inverse
+    for p, degrees in REDUCIBLE_RINGS:
+        Fp = make_field(p, 1)
+        factors = [Poly.from_ints(Fp, ff.first_irreducible(p, d)) for d in degrees]
+        modulus = math.prod(factors, start=Poly.one(Fp))
+        k = modulus.degree()
+        ring = ff.FieldDescriptor(p, k, tuple(c.coeffs[0] for c in modulus.coeffs))
+        rng = random.Random(p * 100 + k)
+        if ring.order <= 7 ** 4:
+            elements = [a for a in ring.elements() if not a.is_zero()]
+        else:
+            # random elements are almost all units, so add random multiples
+            # of each factor, which never are
+            elements = [ring.random_element(rng) for _ in range(60)]
+            for f in factors:
+                for _ in range(15):
+                    h = Poly.from_ints(Fp, [rng.randrange(p) for _ in range(k)])
+                    elements.append(ring.element(
+                        [c.coeffs[0] for c in ((f * h) % modulus).coeffs]))
+            elements = [a for a in elements if not a.is_zero()]
+        units = 0
+        for a in elements:
+            shared = Poly.from_ints(Fp, a.coeffs).gcd(modulus).degree() > 0
+            if shared:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+            else:
+                assert a * a.inverse() == ring.one(), (p, degrees, a)
+                units += 1
+        assert 0 < units < len(elements), (p, degrees)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (29, 1), (5, 2), (29, 2), (5, 4), (7, 4),
+                                 (13, 4), (5, 12), (7, 12), (11, 12), (13, 8),
+                                 (31, 12), (65537, 2), (7, 2)])
+def test_inverse_matches_fermat_oracle(p, k):
+    # a^(q - 2) is the inverse by Lagrange's theorem; it shares no code with
+    # the extended Euclid of FieldElement.inverse
+    field = make_field(p, k)
+    q = field.order
+    rng = random.Random(p * 100 + k)
+    if q <= 5 ** 4:
+        elements = [a for a in field.elements() if not a.is_zero()]
+    else:
+        elements = [a for a in (field.random_element(rng) for _ in range(40))
+                    if not a.is_zero()]
+    if k > 1:
+        elements.append(field.gen())
+    for a in elements:
+        inv = a.inverse()
+        assert inv == a ** (q - 2), a
+        assert a * inv == field.one(), a
+    # every nonzero constant c, with c^(q - 2) taken in the prime field
+    for c in range(1, p):
+        a = field.element(c)
+        inv = a.inverse()
+        assert inv == field.element(pow(c, q - 2, p)), c
+        assert a * inv == field.one(), c
 
 
 def test_basic_prime_field_arithmetic():
