@@ -9,8 +9,9 @@ to 1, and that normal form is what we store: a plain 6-tuple
     (a, b, c, d, l0, l1)
 
 of integers mod p -- the matrix entries and the two coordinates of lam in
-the fixed polynomial basis of F_{p^2}.  Tuples keep equality, hashing and
-enumeration cheap; all structure lives on the RoquetteGroup context.
+the fixed polynomial basis of F_{p^2}.  All structure lives on the
+RoquetteGroup context, which never stores G: elements are walked from a
+generator, and per-element data sits in arrays indexed by _slot.
 
 Conjugacy classes are orbits of three fixed conjugators, certified by size:
 an orbit of |G| / |C_G(A, lam)| elements is a whole class, and
@@ -26,6 +27,7 @@ to [[1, 1], [0, 1]] and conjugation keeps lam.  wild_sign reads s off
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 
 from . import ff
@@ -57,9 +59,8 @@ class RoquetteGroup:
         self._leg = [0] + [1 if pow(i, (p - 1) // 2, p) == 1 else p - 1
                            for i in range(1, p)]
         self._det_roots = self._build_det_roots()
-        self._elements = None
         self._classes = None
-        self._class_index = None
+        self._class_table = None
 
     # -- F_{p^2} scalar helpers on coefficient pairs -------------------------------
 
@@ -150,19 +151,25 @@ class RoquetteGroup:
 
     # -- enumeration -------------------------------------------------------------------
 
+    def iter_elements(self):
+        """All 2p(p^2-1) canonical elements, one at a time, in _slot order."""
+        for a, b, c, d in self._canonical_matrices():
+            for l0, l1 in self._det_roots[(a * d - b * c) % self.p]:
+                yield (a, b, c, d, l0, l1)
+
     @property
     def elements(self) -> tuple:
-        """All 2p(p^2-1) canonical elements, in a fixed deterministic order."""
-        if self._elements is None:
-            p = self.p
-            out = []
-            for mat in self._canonical_matrices():
-                a, b, c, d = mat
-                det = (a * d - b * c) % p
-                for lam in self._det_roots[det]:
-                    out.append((a, b, c, d, lam[0], lam[1]))
-            self._elements = tuple(out)
-        return self._elements
+        """iter_elements as a tuple, built anew on every call."""
+        return tuple(self.iter_elements())
+
+    def _slot(self, g: GroupElement) -> int:
+        """2m + r for a canonical g, below 2(p^3 + p^2) and increasing along
+        iter_elements: m = (b p + c) p + d when a = 1, else p^3 + c p + d;
+        r = 0 when lam is _det_roots[det][0], the lexicographically smaller
+        of +-lam, whose leading coordinate is below p/2 as lam != 0, p odd."""
+        a, b, c, d, l0, l1 = g
+        p = self.p
+        return 2 * (((b if a else p) * p + c) * p + d) + (2 * (l0 or l1) > p)
 
     def _canonical_matrices(self):
         # matrices with first nonzero entry 1 and det != 0: one per PGL_2 class;
@@ -201,20 +208,13 @@ class RoquetteGroup:
         of |G| / |C_G(rep)| elements is the whole class; every orbit is
         checked against that size (RuntimeError otherwise), with the
         centralizer order from _centralizer_order.  Representatives are the
-        first element of each class in the order of `elements`, and classes
-        are listed in the order of their representatives.
+        first element of each class in the order of iter_elements, and
+        classes are listed in that order.  Visited elements are marked in a
+        2-byte table over the slots.
         """
         if self._classes is None:
             self._compute_classes()
         return self._classes
-
-    @property
-    def class_index(self) -> dict:
-        """Map element -> index into conjugacy_classes.  Its keys are the
-        tuples that `elements` holds."""
-        if self._class_index is None:
-            self._compute_classes()
-        return self._class_index
 
     def _conjugators(self) -> tuple:
         """The upper and lower unipotents and diag(r, 1), r the least
@@ -254,22 +254,23 @@ class RoquetteGroup:
         return 2 * (n_plus + n_minus) // (p - 1)
 
     def _compute_classes(self):
-        mul = self.mul
+        mul, slot = self.mul, self._slot
         pairs = [(s, self.inv(s)) for s in self._conjugators()]
-        # keyed on the tuples of `elements`: an equal product is not kept
-        index = dict.fromkeys(self.elements)
+        # class index + 1 at each element's slot, 0 until its orbit is met
+        table = array("H", [0]) * (2 * (self.p ** 3 + self.p ** 2))
         classes = []
-        for h in self.elements:
-            if index[h] is not None:
+        for h in self.iter_elements():
+            if table[slot(h)]:
                 continue
-            ci = len(classes)
-            index[h] = ci
+            mark = len(classes) + 1
+            table[slot(h)] = mark
             orbit = [h]
             for x in orbit:
                 for s, si in pairs:
                     y = mul(mul(s, x), si)
-                    if index[y] is None:
-                        index[y] = ci
+                    k = slot(y)
+                    if not table[k]:
+                        table[k] = mark
                         orbit.append(y)
             size = self.order // self._centralizer_order(h)
             if len(orbit) != size:
@@ -278,10 +279,18 @@ class RoquetteGroup:
                     f"but its class has {size}")
             classes.append(ConjClass(rep=h, size=size))
         self._classes = tuple(classes)
-        self._class_index = index
+        self._class_table = table
 
     def class_of(self, g: GroupElement) -> int:
-        return self.class_index[g]
+        """Index into conjugacy_classes of a canonical g; any other tuple
+        raises ValueError instead of reading another element's slot."""
+        a, b, c, d, l0, l1 = g
+        if ((a or b) != 1 or not all(0 <= x < self.p for x in g)
+                or (l0, l1) not in self._det_roots.get((a * d - b * c) % self.p, ())):
+            raise ValueError(f"{g} is not a canonical group element")
+        if self._classes is None:
+            self._compute_classes()
+        return self._class_table[self._slot(g)] - 1
 
     # -- distinguished subgroups and the projection ---------------------------------------
 
@@ -297,11 +306,16 @@ class RoquetteGroup:
             raise RuntimeError("unipotent subgroup has wrong order")
         return tuple(out)
 
-    def pgl_image(self) -> set:
-        return {g[:4] for g in self.elements}
+    def pgl_image(self) -> int:
+        """The size of the image in PGL_2(F_p): distinct matrix parts."""
+        seen = bytearray(self.p ** 3 + self.p ** 2)
+        for g in self.iter_elements():
+            seen[self._slot(g) >> 1] = 1
+        return seen.count(1)
 
-    def kernel_of_projection(self) -> set:
-        return {g for g in self.elements if g[:4] == (1, 0, 0, 1)}
+    def kernel_of_projection(self) -> list:
+        """The elements with identity matrix part, in enumeration order."""
+        return [g for g in self.iter_elements() if g[:4] == (1, 0, 0, 1)]
 
     # -- wild elements ------------------------------------------------------------------------
 

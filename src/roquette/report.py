@@ -171,7 +171,7 @@ class _Stage(NamedTuple):
 def _group_stage(run: _Run) -> None:
     p = run.p
     G = run.G = get_group(p)
-    n_elements = len(G.elements)
+    n_elements = sum(1 for _ in G.iter_elements())
     expected_order = 2 * p * (p * p - 1)
     run.mark("group_order", n_elements == expected_order,
              f"full enumeration finds 2p(p^2-1) = {expected_order} automorphisms",
@@ -187,9 +187,10 @@ def _group_stage(run: _Run) -> None:
              f"square roots of prime-field units form a cyclic group of order 2(p-1) = {2 * (p - 1)}",
              size=len(sqrt_grp), cyclic=cyclic)
     ker = G.kernel_of_projection()
-    image_size = len(G.pgl_image())
+    image_size = G.pgl_image()
+    # |image| |kernel| = |G| also catches a matrix enumerated twice
     run.mark("pgl_projection",
-             ker == {G.identity, G.involution} and image_size == p * (p * p - 1),
+             ker == [G.identity, G.involution] and image_size * 2 == n_elements == expected_order,
              "the projective action is onto PGL_2(F_p) with kernel {1, involution}",
              kernel_size=len(ker), image_size=image_size,
              expected_image=p * (p * p - 1))

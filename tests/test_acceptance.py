@@ -144,14 +144,15 @@ def test_criterion_8_property_suites():
             ok = ok and a * a.inverse() == field.one()
     # group axioms and normal-form idempotence
     G = get_group(5)
+    els = G.elements
     for _ in range(60):
-        g, h = rng.choice(G.elements), rng.choice(G.elements)
+        g, h = rng.choice(els), rng.choice(els)
         ok = ok and G.mul(g, G.inv(g)) == G.identity
         ok = ok and G.canonicalize(*G.mul(g, h)) == G.mul(g, h)
     # curve action closure (exhaustive over F_25 points)
     f2 = make_field(5, 2)
     pts = C.curve_points(5, 2)
-    for g in G.elements:
+    for g in els:
         for P in pts:
             ok = ok and on_curve(act(G, g, P, field=f2, check=False))
     # cantor group laws

@@ -56,10 +56,11 @@ def _classes_by_full_conjugation(G):
     """Oracle for the class partition: conjugate each new representative
     by every element of G.  Returns the (rep, size) list and the element ->
     class index map."""
-    pairs = [(g, G.inv(g)) for g in G.elements]
+    els = G.elements
+    pairs = [(g, G.inv(g)) for g in els]
     index = {}
     classes = []
-    for h in G.elements:
+    for h in els:
         if h in index:
             continue
         members = {G.mul(G.mul(g, h), gi) for g, gi in pairs}
@@ -166,10 +167,11 @@ def test_element_order_rejects_an_element_outside_the_group():
 @pytest.mark.parametrize("p", [5, 7])
 def test_orders_divide_group_order(p):
     G = get_group(p)
+    els = G.elements
     rng = random.Random(41)
     for _ in range(150):
-        g = rng.choice(G.elements)
-        assert len(G.elements) % G.element_order(g) == 0
+        g = rng.choice(els)
+        assert len(els) % G.element_order(g) == 0
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -196,12 +198,12 @@ def test_sqrt_group(p):
 def test_conjugacy_partition(p):
     G = get_group(p)
     classes = G.conjugacy_classes
-    assert sum(c.size for c in classes) == len(G.elements)
+    assert sum(c.size for c in classes) == G.order
     # identity class is a singleton and sizes divide the group order
     id_cls = classes[G.class_of(G.identity)]
     assert id_cls.size == 1
     for c in classes:
-        assert len(G.elements) % c.size == 0
+        assert G.order % c.size == 0
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -209,7 +211,8 @@ def test_classes_match_full_conjugation_oracle(p):
     G = get_group(p)
     reps_sizes, index = _classes_by_full_conjugation(G)
     assert [(c.rep, c.size) for c in G.conjugacy_classes] == reps_sizes
-    assert G.class_index == index
+    assert all(G.class_of(g) == ci for g, ci in index.items())
+    assert len(index) == G.order
 
 
 def test_classes_reject_a_non_generating_conjugator_set(monkeypatch):
@@ -221,7 +224,7 @@ def test_classes_reject_a_non_generating_conjugator_set(monkeypatch):
     with pytest.raises(RuntimeError, match="has 5 elements, but its class has 30"):
         G.conjugacy_classes
     with pytest.raises(RuntimeError, match="has 7 elements, but its class has 56"):
-        RoquetteGroup(7).class_index
+        RoquetteGroup(7).class_of((1, 0, 0, 1, 1, 0))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -235,10 +238,11 @@ def test_centralizer_order_matches_gl2_count(p):
 def test_centralizer_order_matches_group_centralizer(p):
     # counted in G itself, so the lift to (B, mu) and the centre are checked too
     G = get_group(p)
+    els = G.elements
     for c in G.conjugacy_classes:
         g = c.rep
         assert G._centralizer_order(g) == sum(
-            G.mul(h, g) == G.mul(g, h) for h in G.elements), g
+            G.mul(h, g) == G.mul(g, h) for h in els), g
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -254,12 +258,35 @@ def test_classes_cost_six_mults_per_element(mul_calls):
     assert mul_calls[0] == 6 * G.order
 
 
-def test_class_index_keys_are_the_element_tuples():
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_slots_are_dense_and_follow_the_enumeration(p):
+    G = get_group(p)
+    slots = [G._slot(g) for g in G.iter_elements()]
+    assert len(slots) == G.order
+    # strictly increasing, so injective
+    assert all(s < t for s, t in zip(slots, slots[1:]))
+    assert 0 <= slots[0] and slots[-1] < 2 * (p ** 3 + p ** 2)
+
+
+def test_class_of_rejects_a_tuple_outside_the_normal_form():
+    G = get_group(5)
+    # 2 * identity: leading entry 2; its slot would be that of (1, 0, 0, 2, ...)
+    with pytest.raises(ValueError, match="not a canonical group element"):
+        G.class_of((2, 0, 0, 2, 2, 0))
+    # lam = 2 is not a square root of det = 1; its slot is the identity's
+    assert G._slot((1, 0, 0, 1, 2, 0)) == G._slot(G.identity)
+    with pytest.raises(ValueError, match="not a canonical group element"):
+        G.class_of((1, 0, 0, 1, 2, 0))
+    # entries outside [0, p) are not reduced for the caller
+    with pytest.raises(ValueError, match="not a canonical group element"):
+        G.class_of((1, 5, 0, 1, 1, 0))
+
+
+def test_group_holds_no_per_element_structure():
     G = RoquetteGroup(13)
-    els = G.elements
-    keys = list(G.class_index)
-    assert len(keys) == len(els)
-    assert all(k is e for k, e in zip(keys, els))
+    G.conjugacy_classes
+    assert not hasattr(G, "_elements") and not hasattr(G, "_class_index")
+    assert isinstance(G.elements, tuple) and G.elements is not G.elements
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -310,15 +337,14 @@ def test_sylow_intersection_trivial_or_all():
 @pytest.mark.parametrize("p", [5, 7])
 def test_pgl_projection(p):
     G = get_group(p)
-    img = G.pgl_image()
-    assert len(img) == p * (p * p - 1)
-    ker = G.kernel_of_projection()
-    assert ker == {G.identity, G.involution}
+    assert G.pgl_image() == p * (p * p - 1)
+    assert G.kernel_of_projection() == [G.identity, G.involution]
     assert proj_to_pgl(G.involution) == (1, 0, 0, 1)
     # homomorphism property on the canonical scaling
+    els = G.elements
     rng = random.Random(6)
     for _ in range(200):
-        g, h = rng.choice(G.elements), rng.choice(G.elements)
+        g, h = rng.choice(els), rng.choice(els)
         assert proj_to_pgl(G.mul(g, h)) == G.mul(g, h)[:4]
 
 

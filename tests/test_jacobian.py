@@ -135,10 +135,11 @@ def test_act_on_class_identity_and_involution(group5, jac54):
 
 def test_act_on_class_additive(group5, jac54):
     rng = random.Random(6)
+    els = group5.elements
     for _ in range(8):
         D1 = jac54.random_divisor(rng)
         D2 = jac54.random_divisor(rng)
-        g = rng.choice(group5.elements)
+        g = rng.choice(els)
         lhs = J.act_on_class(group5, g, jac54.add(D1, D2))
         rhs = jac54.add(J.act_on_class(group5, g, D1),
                         J.act_on_class(group5, g, D2))
@@ -204,6 +205,7 @@ def test_act_on_class_non_split_support_commutes_with_embedding(group5, jac54):
         return J.MumfordDivisor(f8, Poly(f8, [embed(c, gen) for c in D.u.coeffs]),
                                 Poly(f8, [embed(c, gen) for c in D.v.coeffs]))
 
+    els = G.elements
     rng = random.Random(9)
     seen = 0
     while seen < 8:
@@ -211,7 +213,7 @@ def test_act_on_class_non_split_support_commutes_with_embedding(group5, jac54):
         if D.degree() != 2 or ff.sqrt(D.u[1] * D.u[1] - 4 * D.u[0]) is not None:
             continue
         seen += 1
-        g = rng.choice(G.elements)
+        g = rng.choice(els)
         image, D8 = up(J.act_on_class(G, g, D)), up(D)
         assert image == J.act_on_class(G, g, D8)
         points = [C.Point(r, D8.v.evaluate(r)) for r, _ in roots_with_multiplicity(D8.u)]
@@ -361,8 +363,9 @@ def test_rep_matrices_invertible_with_dividing_order(group5, torsion3):
     rng = random.Random(7)
     ell = torsion3.ell
     ident = identity_matrix(4)
+    els = G.elements
     for _ in range(12):
-        g = rng.choice(G.elements)
+        g = rng.choice(els)
         M = J.rep_matrix(G, g, torsion3)
         assert mat_det(M, ell) != 0
         n = G.element_order(g)
@@ -376,10 +379,11 @@ def test_rep_is_homomorphism_full_p5_ell3(group5, torsion3):
     """g -> M(g) respects every product: all matrices, all pairs, mod 3."""
     G = group5
     ell = torsion3.ell
-    mats = {g: J.rep_matrix(G, g, torsion3) for g in G.elements}
-    for g in G.elements:
+    els = G.elements
+    mats = {g: J.rep_matrix(G, g, torsion3) for g in els}
+    for g in els:
         Mg = mats[g]
-        for h in G.elements:
+        for h in els:
             assert mats[G.mul(g, h)] == mat_mul(Mg, mats[h], ell)
 
 
@@ -395,8 +399,9 @@ def test_traces_of_inverse_agree(group5, torsion3):
     # real-valued character: trace(M(g)) = trace(M(g^-1)) mod ell
     G = group5
     rng = random.Random(8)
+    els = G.elements
     for _ in range(10):
-        g = rng.choice(G.elements)
+        g = rng.choice(els)
         t1 = J.mat_trace(J.rep_matrix(G, g, torsion3), 3)
         t2 = J.mat_trace(J.rep_matrix(G, G.inv(g), torsion3), 3)
         assert t1 == t2

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,6 +134,36 @@ def test_group_stage_failure_becomes_a_failed_check(fresh_groups, monkeypatch, c
     assert main(["--prime", "11"]) == 1
     text = capsys.readouterr().out
     assert "**Verdict: not determined.**" in text and "\u2717 `group`" in text
+
+
+def test_a_matrix_enumerated_twice_fails_the_count_checks(fresh_groups, monkeypatch):
+    real = RoquetteGroup._canonical_matrices
+
+    def second_twice(self):
+        for i, mat in enumerate(real(self)):
+            yield mat
+            if i == 1:
+                yield mat
+    monkeypatch.setattr(RoquetteGroup, "_canonical_matrices", second_twice)
+    report = run_pipeline(5, OPTS_FAST)
+    failed = {c.name: c.data for c in report.failed}
+    assert failed["group_order"]["counted"] == 242
+    assert failed["pgl_projection"]["image_size"] == 120
+    assert failed["pgl_projection"]["kernel_size"] == 2
+
+
+def test_pipeline_memory_stays_below_the_group_size(fresh_groups):
+    # the group stage keeps per-slot tables of a few bytes, not sets or
+    # dicts over G (those cost ~150 bytes an element)
+    run_pipeline(5, OPTS_FAST)
+    get_group.cache_clear()
+    tracemalloc.start()
+    try:
+        run_pipeline(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * get_group(13).order
 
 
 def test_points_stage_failure_becomes_a_failed_check(monkeypatch, capsys):
