@@ -17,6 +17,9 @@ Conjugacy classes are orbits of three fixed conjugators, certified by size:
 an orbit of |G| / |C_G(A, lam)| elements is a whole class, and
 |C_G(A, lam)| = 2 (n+ + [p = 3 mod 4] n-) / (p - 1), with n+ and n- the
 numbers of B in GL_2(F_p) with BA = AB and BA = -AB (_centralizer_order).
+The one walk over G that picks the class representatives also takes the
+census: how many elements it met, how many PGL_2(F_p) matrices they have,
+and which of them have matrix part I.
 
 A wild element (p divides its order) is conjugate to ([[1, 1], [0, 1]], s)
 with s = +-1, since every nontrivial unipotent of PGL_2(F_p) is conjugate
@@ -59,8 +62,6 @@ class RoquetteGroup:
         self._leg = [0] + [1 if pow(i, (p - 1) // 2, p) == 1 else p - 1
                            for i in range(1, p)]
         self._det_roots = self._build_det_roots()
-        self._classes = None
-        self._class_table = None
 
     # -- F_{p^2} scalar helpers on coefficient pairs -------------------------------
 
@@ -210,11 +211,17 @@ class RoquetteGroup:
         centralizer order from _centralizer_order.  Representatives are the
         first element of each class in the order of iter_elements, and
         classes are listed in that order.  Visited elements are marked in a
-        2-byte table over the slots.
+        2-byte table over the slots.  The same walk takes the census.
         """
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
+        return self._class_search[0]
+
+    @property
+    def census(self) -> tuple:
+        """(n, image size, kernel) from the walk that finds conjugacy_classes:
+        the n elements it met, repeats included (the class search skips
+        them), the number of distinct matrix parts, and the elements with
+        matrix part I in enumeration order."""
+        return self._class_search[1]
 
     def _conjugators(self) -> tuple:
         """The upper and lower unipotents and diag(r, 1), r the least
@@ -253,17 +260,25 @@ class RoquetteGroup:
             n_minus = p * p - (2 * p - 1 if leg[-det % p] == 1 else 1)
         return 2 * (n_plus + n_minus) // (p - 1)
 
-    def _compute_classes(self):
+    @functools.cached_property
+    def _class_search(self) -> tuple:
+        """(conjugacy_classes, census, class table) from one walk over G."""
         mul, slot = self.mul, self._slot
         pairs = [(s, self.inv(s)) for s in self._conjugators()]
         # class index + 1 at each element's slot, 0 until its orbit is met
         table = array("H", [0]) * (2 * (self.p ** 3 + self.p ** 2))
-        classes = []
+        image = bytearray(self.p ** 3 + self.p ** 2)  # marked matrix slots
+        classes, kernel, n = [], [], 0
         for h in self.iter_elements():
-            if table[slot(h)]:
+            n += 1
+            k = slot(h)
+            image[k >> 1] = 1
+            if h[:4] == (1, 0, 0, 1):
+                kernel.append(h)
+            if table[k]:
                 continue
             mark = len(classes) + 1
-            table[slot(h)] = mark
+            table[k] = mark
             orbit = [h]
             for x in orbit:
                 for s, si in pairs:
@@ -278,8 +293,7 @@ class RoquetteGroup:
                     f"the orbit of {h} has {len(orbit)} elements, "
                     f"but its class has {size}")
             classes.append(ConjClass(rep=h, size=size))
-        self._classes = tuple(classes)
-        self._class_table = table
+        return tuple(classes), (n, image.count(1), tuple(kernel)), table
 
     def class_of(self, g: GroupElement) -> int:
         """Index into conjugacy_classes of a canonical g; any other tuple
@@ -288,11 +302,9 @@ class RoquetteGroup:
         if ((a or b) != 1 or not all(0 <= x < self.p for x in g)
                 or (l0, l1) not in self._det_roots.get((a * d - b * c) % self.p, ())):
             raise ValueError(f"{g} is not a canonical group element")
-        if self._classes is None:
-            self._compute_classes()
-        return self._class_table[self._slot(g)] - 1
+        return self._class_search[2][self._slot(g)] - 1
 
-    # -- distinguished subgroups and the projection ---------------------------------------
+    # -- distinguished subgroups -----------------------------------------------------------
 
     def sylow_p_subgroup(self) -> tuple:
         """The cyclic group of order p generated by the unipotent element."""
@@ -305,17 +317,6 @@ class RoquetteGroup:
         if len(out) != self.p:
             raise RuntimeError("unipotent subgroup has wrong order")
         return tuple(out)
-
-    def pgl_image(self) -> int:
-        """The size of the image in PGL_2(F_p): distinct matrix parts."""
-        seen = bytearray(self.p ** 3 + self.p ** 2)
-        for g in self.iter_elements():
-            seen[self._slot(g) >> 1] = 1
-        return seen.count(1)
-
-    def kernel_of_projection(self) -> list:
-        """The elements with identity matrix part, in enumeration order."""
-        return [g for g in self.iter_elements() if g[:4] == (1, 0, 0, 1)]
 
     # -- wild elements ------------------------------------------------------------------------
 

@@ -171,7 +171,9 @@ class _Stage(NamedTuple):
 def _group_stage(run: _Run) -> None:
     p = run.p
     G = run.G = get_group(p)
-    n_elements = sum(1 for _ in G.iter_elements())
+    # classes and census first, so a failed class certificate records no check
+    classes = G.conjugacy_classes
+    n_elements, image_size, ker = G.census
     expected_order = 2 * p * (p * p - 1)
     run.mark("group_order", n_elements == expected_order,
              f"full enumeration finds 2p(p^2-1) = {expected_order} automorphisms",
@@ -186,15 +188,12 @@ def _group_stage(run: _Run) -> None:
     run.mark("square_root_group", len(sqrt_grp) == n_sqrt and cyclic,
              f"square roots of prime-field units form a cyclic group of order 2(p-1) = {2 * (p - 1)}",
              size=len(sqrt_grp), cyclic=cyclic)
-    ker = G.kernel_of_projection()
-    image_size = G.pgl_image()
     # |image| |kernel| = |G| also catches a matrix enumerated twice
     run.mark("pgl_projection",
-             ker == [G.identity, G.involution] and image_size * 2 == n_elements == expected_order,
+             ker == (G.identity, G.involution) and image_size * 2 == n_elements == expected_order,
              "the projective action is onto PGL_2(F_p) with kernel {1, involution}",
              kernel_size=len(ker), image_size=image_size,
              expected_image=p * (p * p - 1))
-    classes = G.conjugacy_classes
     run.class_orders = [G.element_order(c.rep) for c in classes]
     stats: dict = {}
     for c, n in zip(classes, run.class_orders):

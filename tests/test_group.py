@@ -334,14 +334,19 @@ def test_sylow_intersection_trivial_or_all():
         assert inter == {G.identity} or inter == N
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_pgl_projection(p):
     G = get_group(p)
-    assert G.pgl_image() == p * (p * p - 1)
-    assert G.kernel_of_projection() == [G.identity, G.involution]
+    els = G.elements
+    # the census against its own walks over G: distinct matrix parts, and
+    # the elements with matrix part I
+    n, image_size, kernel = G.census
+    assert n == len(els) == G.order
+    assert image_size == len({proj_to_pgl(g) for g in els}) == p * (p * p - 1)
+    assert kernel == tuple(g for g in els if proj_to_pgl(g) == (1, 0, 0, 1))
+    assert kernel == (G.identity, G.involution)
     assert proj_to_pgl(G.involution) == (1, 0, 0, 1)
     # homomorphism property on the canonical scaling
-    els = G.elements
     rng = random.Random(6)
     for _ in range(200):
         g, h = rng.choice(els), rng.choice(els)

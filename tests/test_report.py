@@ -124,9 +124,9 @@ def test_group_stage_failure_becomes_a_failed_check(fresh_groups, monkeypatch, c
     assert failed["name"] == "group"
     assert failed["data"]["error"] == (
         "the orbit of (1, 0, 0, 1, 1, 0) has 1 elements, but its class has 2640")
-    # no later stage ran, so no block was written and no fact is known
-    assert [c["name"] for c in doc["checks"]] == BASE_CHECKS[:3] + [
-        "group", "verdict_obstructed"]
+    # the classes come before any group check, and no later stage ran, so
+    # no block was written and no fact is known
+    assert [c["name"] for c in doc["checks"]] == ["group", "verdict_obstructed"]
     assert [doc[name] for name in R.BLOCKS] == [None] * len(R.BLOCKS)
     assert doc["verdict"]["fs_indicator"] is None
     assert doc["verdict"]["rationality_class_nontrivial"] is None
@@ -150,6 +150,20 @@ def test_a_matrix_enumerated_twice_fails_the_count_checks(fresh_groups, monkeypa
     assert failed["group_order"]["counted"] == 242
     assert failed["pgl_projection"]["image_size"] == 120
     assert failed["pgl_projection"]["kernel_size"] == 2
+
+
+@pytest.mark.parametrize("p, options", [(13, PipelineOptions()), (5, OPTS_FAST)])
+def test_a_run_walks_the_group_once(fresh_groups, monkeypatch, p, options):
+    # the class search's walk also takes the census; nothing else walks G
+    # (at p = 13 the witness is skipped)
+    real, calls = RoquetteGroup._canonical_matrices, []
+
+    def counted(self):
+        calls.append(self.p)
+        return real(self)
+    monkeypatch.setattr(RoquetteGroup, "_canonical_matrices", counted)
+    assert run_pipeline(p, options).exit_code == 0
+    assert calls == [p]
 
 
 def test_pipeline_memory_stays_below_the_group_size(fresh_groups):
@@ -251,6 +265,17 @@ def test_json_byte_determinism():
     a = emit(run_pipeline(5, PipelineOptions(ell=(3,), seed=11)), "json")
     b = emit(run_pipeline(5, PipelineOptions(ell=(3,), seed=11)), "json")
     assert a == b
+
+
+@pytest.mark.parametrize("p, seeds", [(5, (0, 1, 2)), (7, (0, 1))])
+def test_reports_differ_only_in_the_seed(p, seeds):
+    # the seed picks the random divisors of the torsion search, never a result
+    docs = [json.loads(emit(run_pipeline(p, PipelineOptions(ell=(3,), seed=s)), "json"))
+            for s in seeds]
+    for s, doc in zip(seeds, docs):
+        assert doc["input"]["seed"] == s
+        doc["input"]["seed"] = None
+    assert all(doc == docs[0] for doc in docs[1:])
 
 
 def test_markdown_checklist(report5):
