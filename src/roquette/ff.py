@@ -26,12 +26,19 @@ and reduced mod p.
 An inverse is one extended-Euclid loop on the coefficient lists of the
 modulus and the element; on a zero divisor of a reducible modulus it raises
 ZeroDivisionError, which Rabin's irreducibility test reads as "not a unit".
+
+Two routines here serve every layer: `power` is the one square-and-multiply
+loop (field elements, polynomials mod a modulus, group elements, divisor
+classes), and `multiplicative_order` is the one order search (element
+orders in G, the generator of F_p^x, the embedding degree of the
+ell-torsion, the cyclic group of square roots).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import sys
 from array import array
@@ -70,6 +77,33 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def power(x, n: int, mul, one):
+    """x^n for n >= 0 under the product mul, with identity one.
+
+    Binary square-and-multiply from the low bit: acc starts at one and
+    takes the product with x^(2^i) for each set bit i, and x is squared
+    after every bit, the last one too.  So it makes popcount(n) + bit
+    length of n products, always in that order."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        n >>= 1
+    return acc
+
+
+def multiplicative_order(n: int, is_one_at) -> int:
+    """The order of an element x with x^n = 1, given is_one_at(e) for
+    "x^e = 1": from n, strip each prime q of n while x^(n/q) is still 1.
+    Largest q first, which shortens the later exponents most.  The caller
+    vouches for x^n = 1."""
+    for q in reversed(prime_factors(n)):
+        while n % q == 0 and is_one_at(n // q):
+            n //= q
+    return n
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -346,14 +380,7 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, self.field.one())
 
     def frobenius(self, i: int = 1) -> "FieldElement":
         """The i-fold Frobenius a -> a^(p^i)."""

@@ -128,23 +128,12 @@ class RoquetteGroup:
     def power(self, g: GroupElement, n: int) -> GroupElement:
         if n < 0:
             return self.power(self.inv(g), -n)
-        acc = self.identity
-        base = g
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
+        return ff.power(g, n, self.mul, self.identity)
 
     def element_order(self, g: GroupElement) -> int:
-        """The least n with g^n = 1: from n = |G|, strip each prime q of |G|
-        while g^(n/q) is still the identity.  Largest q first, which
-        shortens the later exponents most."""
-        n = self.order
-        for q in reversed(ff.prime_factors(self.order)):
-            while n % q == 0 and self.power(g, n // q) == self.identity:
-                n //= q
+        """The least n with g^n = 1, by ff.multiplicative_order from |G|."""
+        n = ff.multiplicative_order(
+            self.order, lambda e: self.power(g, e) == self.identity)
         # a strip proves g^n = 1; with none, only Lagrange vouches for it
         if n == self.order and self.power(g, n) != self.identity:
             raise RuntimeError("g^|G| != 1; broken element")
@@ -228,7 +217,7 @@ class RoquetteGroup:
         generator of F_p^x."""
         p = self.p
         r = next(x for x in range(2, p)
-                 if all(pow(x, (p - 1) // q, p) != 1 for q in ff.prime_factors(p - 1)))
+                 if ff.multiplicative_order(p - 1, lambda e: pow(x, e, p) == 1) == p - 1)
         return (self.unipotent(), (1, 0, 1, 1, 1, 0),
                 self.canonicalize(r, 0, 0, 1, *self._det_roots[r][0]))
 

@@ -136,14 +136,7 @@ class CurveJacobian:
     def scalar_mul(self, n: int, D: MumfordDivisor) -> MumfordDivisor:
         if n < 0:
             return self.scalar_mul(-n, self.neg(D))
-        acc = self.zero()
-        base = D
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
-        return acc
+        return ff.power(D, n, self.add, self.zero())
 
     def random_divisor(self, rng: random.Random) -> MumfordDivisor:
         """Sum of genus random points, assembled from random x-coordinates."""
@@ -276,9 +269,8 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
         raise ValueError(
             f"ell^(2g) = {ell ** g2} exceeds the brute-force bound {bound}")
     frob = curve.frobenius_sign(p) * p
-    m = 1
-    while pow(frob, m, ell) != 1:
-        m += 1
+    # the order of eps*p mod ell, a divisor of ell - 1 as ell != p
+    m = ff.multiplicative_order(ell - 1, lambda e: pow(frob, e, ell) == 1)
     field = make_field(p, 2 * m)
     cofactor = abs(frob ** m - 1) // ell  # N/ell; ell | N by the choice of m
     jac = CurveJacobian(field, p)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+from .ff import power, sqrt
+
 
 class Poly:
     __slots__ = ("field", "coeffs")
@@ -124,9 +126,6 @@ class Poly:
                 rem[shift + i] = rem[shift + i] - factor * c
         return Poly(field, q), Poly(field, rem[:d])
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 
@@ -137,10 +136,7 @@ class Poly:
         return q
 
     def gcd(self, other) -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return self.xgcd(other)[0]
 
     def xgcd(self, other) -> tuple["Poly", "Poly", "Poly"]:
         """(d, s, t) with d = s*self + t*other, d monic (or zero)."""
@@ -159,14 +155,8 @@ class Poly:
         return r0.scale(c), s0.scale(c), t0.scale(c)
 
     def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
-        result = Poly.one(self.field)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        return power(self % modulus, e, lambda a, b: (a * b) % modulus,
+                     Poly.one(self.field))
 
     def derivative(self) -> "Poly":
         return Poly(self.field,
@@ -230,10 +220,9 @@ def roots_of_split(f: Poly, rng: random.Random):
         return [-(c[0] / c[1])]
     if deg == 2:
         # quadratic formula; every split quadratic over odd q factors this way
-        from .ff import sqrt as ff_sqrt
         a, b = c[2], c[1]
         disc = b * b - 4 * c[0] * a
-        rt = ff_sqrt(disc)
+        rt = sqrt(disc)
         if rt is None:
             raise ValueError("quadratic does not split over its field")
         two_a = a + a

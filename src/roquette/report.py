@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__, character, curve, jacobian
-from .ff import is_prime, prime_factors
+from .ff import is_prime, multiplicative_order
 from .group import get_group
 
 SCHEMA_VERSION = "1.0.0"
@@ -179,11 +179,10 @@ def _group_stage(run: _Run) -> None:
              f"full enumeration finds 2p(p^2-1) = {expected_order} automorphisms",
              counted=n_elements, expected=expected_order)
     sqrt_grp = G.sqrt_group_elements()
-    # every el^2 lies in F_p^x, so el has full order 2(p-1) unless one of
-    # its maximal proper powers el^(2(p-1)/q) is already 1
+    # every el^2 lies in F_p^x, so el^(2(p-1)) = 1
     n_sqrt = 2 * (p - 1)
     one = G.fp2.one()
-    cyclic = any(all(el ** (n_sqrt // q) != one for q in prime_factors(n_sqrt))
+    cyclic = any(multiplicative_order(n_sqrt, lambda e: el ** e == one) == n_sqrt
                  for el in sqrt_grp)
     run.mark("square_root_group", len(sqrt_grp) == n_sqrt and cyclic,
              f"square roots of prime-field units form a cyclic group of order 2(p-1) = {2 * (p - 1)}",

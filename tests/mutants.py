@@ -46,11 +46,15 @@ class Mutant(NamedTuple):
 
 GROUP, REPORT = "src/roquette/group.py", "src/roquette/report.py"
 CURVE, FF = "src/roquette/curve.py", "src/roquette/ff.py"
+JACOBIAN, SERIES = "src/roquette/jacobian.py", "src/roquette/series.py"
 TWICE = "tests/test_report.py::test_a_matrix_enumerated_twice_fails_the_count_checks"
 PGL = "tests/test_group.py::test_pgl_projection"
 CENTRALIZER = "tests/test_group.py::test_centralizer_order_matches_gl2_count"
 FIXED = "tests/test_curve.py::test_fixed_points_really_are_fixed"
 FERMAT = "tests/test_ff.py::test_inverse_matches_fermat_oracle"
+PACKED = "tests/test_ff.py::test_packed_product_matches_schoolbook_oracle"
+ACTION = "tests/test_jacobian.py::test_act_on_class_split_support_oracle"
+SPAN = "tests/test_jacobian.py::test_coordinates_match_full_span_oracle"
 
 MUTANTS = (
     # the census taken by the class search
@@ -117,6 +121,112 @@ MUTANTS = (
            "return self",
            ("tests/test_ff.py::test_inverse_of_a_zero_divisor_raises",),
            "a zero divisor has no inverse"),
+    Mutant("inverse-of-zero-returns", FF,
+           'raise ZeroDivisionError("inverse of zero")', "return self",
+           ("tests/test_ff.py::test_division_by_zero",), "zero has no inverse"),
+    # the one square-and-multiply loop and the one order search
+    Mutant("power-squares-before-multiplying", FF,
+           "        if n & 1:\n            acc = mul(acc, x)\n        x = mul(x, x)\n",
+           "        x = mul(x, x)\n        if n & 1:\n            acc = mul(acc, x)\n",
+           ("tests/test_ff.py::test_power_makes_the_same_products",),
+           "bit i contributes x^(2^i), so the square comes after the product"),
+    Mutant("order-strips-each-prime-once", FF,
+           "while n % q == 0 and is_one_at(n // q):", "if n % q == 0 and is_one_at(n // q):",
+           ("tests/test_ff.py::test_multiplicative_order_matches_walking_oracle",),
+           "a prime may divide the order's cofactor more than once"),
+    Mutant("element-order-without-lagrange", GROUP,
+           "if n == self.order and self.power(g, n) != self.identity:", "if False:",
+           ("tests/test_group.py::test_element_order_rejects_an_element_outside_the_group",),
+           "with no strip, only g^|G| = 1 shows that g lies in G"),
+    # the Kronecker-packed field product
+    Mutant("packed-typecode-one-too-narrow", FF,
+           "if bound < 1 << 8 * array(t).itemsize", "if bound < 1 << 16 * array(t).itemsize",
+           (PACKED,), "a digit must hold 2k(p - 1)^2 without a carry"),
+    Mutant("packed-without-high-fold", FF,
+           "            low += fold[c % p]\n", "            pass\n",
+           (PACKED,), "the k - 1 high digits fold back onto the low ones"),
+    Mutant("packed-without-final-reduction", FF,
+           "tuple([c % p for c in array(tc, low.to_bytes(", "tuple([c for c in array(tc, low.to_bytes(",
+           (PACKED,), "the unpacked digits are below 2k(p - 1)^2, not below p"),
+    # lambda in a working field and the point count it rests on
+    Mutant("lambda-negated", CURVE,
+           "return g[4] + g[5] * _fp2_root(target)", "return -(g[4] + g[5] * _fp2_root(target))",
+           ("tests/test_jacobian.py::test_traces_and_character_independent_of_the_fp2_root",),
+           "-lam realizes g times the involution, which negates the traces"),
+    Mutant("quadratic-count-sign-flipped", CURVE,
+           "return p * p + 1 - frobenius_sign(p) * p * (p - 1)",
+           "return p * p + 1 + frobenius_sign(p) * p * (p - 1)",
+           ("tests/test_curve.py::test_point_counts",), "#C(F_{p^2}) meets the lower Weil bound at eps = 1"),
+    # the divisor action in the class's own field
+    Mutant("action-without-weierstrass-add", JACOBIAN,
+           "if not c.is_zero() and D.degree() % 2:", "if False:",
+           (ACTION,), "an odd-degree class picks up g(inf) - inf, a Weierstrass point"),
+    Mutant("action-wrong-det-exponent", JACOBIAN,
+           "((a * d - b * c) ** half)", "((a * d - b * c) ** (half - 1))",
+           (ACTION,), "the ordinates scale by det^(-(p+1)/2)"),
+    Mutant("action-wrong-sign-in-num", JACOBIAN,
+           "num = Poly(field, (-b, d))", "num = Poly(field, (b, d))",
+           (ACTION,), "the inverse Mobius map has numerator dX - b"),
+    # the orbit search for conjugacy classes
+    Mutant("classes-without-diagonal-conjugator", GROUP,
+           "        return (self.unipotent(), (1, 0, 1, 1, 1, 0),\n"
+           "                self.canonicalize(r, 0, 0, 1, *self._det_roots[r][0]))\n",
+           "        return (self.unipotent(), (1, 0, 1, 1, 1, 0))\n",
+           ("tests/test_group.py::test_class_equation",),
+           "the unipotents alone do not generate G"),
+    Mutant("classes-conjugate-by-s-x-s", GROUP,
+           "y = mul(mul(s, x), si)", "y = mul(mul(s, x), s)",
+           ("tests/test_group.py::test_class_equation",), "conjugation is s x s^(-1)"),
+    # the torsion basis and its discrete logs
+    Mutant("torsion-m-from-p", JACOBIAN,
+           "frob = curve.frobenius_sign(p) * p", "frob = p",
+           ("tests/test_jacobian.py::test_torsion_witness_p7_ell3",),
+           "Frobenius acts as eps*p, and eps = -1 at p = 7"),
+    Mutant("torsion-without-ell-guard", JACOBIAN,
+           "if not jac.scalar_mul(ell, E).is_zero():", "if False:",
+           ("tests/test_jacobian.py::test_torsion_basis_rejects_a_sample_ell_does_not_kill",),
+           "a wrong N passes the table-size check"),
+    Mutant("torsion-table-takes-last-vector", JACOBIAN,
+           "        if len(basis) == g2:\n            break\n", "",
+           ("tests/test_jacobian.py::test_torsion_basis_ell3",),
+           "the table spans all but the last vector"),
+    Mutant("giant-steps-forward", JACOBIAN,
+           "back = jac.neg(basis[-1])", "back = basis[-1]",
+           (SPAN,), "E - c b_last lies in the table for the last coordinate c"),
+    Mutant("coordinates-without-giant-steps", JACOBIAN,
+           "for c, step in enumerate(self.giant_steps):",
+           "for c, step in enumerate(self.giant_steps[:1]):",
+           (SPAN,), "only classes with last coordinate 0 are in the table"),
+    Mutant("coordinates-last-off-by-one", JACOBIAN,
+           "return vec + (c,)", "return vec + (c + 1,)",
+           (SPAN,), "the giant step index is the last coordinate"),
+    # the verdict and the facts it rests on
+    Mutant("verdict-ignores-failures", REPORT,
+           '"obstructed" if witnessed and not any_failures else',
+           '"obstructed" if witnessed else',
+           ("tests/test_report.py::test_verdict_monotone_under_fault_injection",),
+           "any failed check blocks the verdict"),
+    Mutant("verdict-without-indicator", REPORT,
+           "and norm == 1 and fs_indicator == -1", "and norm == 1",
+           ("tests/test_report.py::test_verdict_monotone_under_fault_injection",),
+           "Schur index 2 needs indicator -1"),
+    Mutant("verdict-recomputes-indicator", REPORT,
+           "final_verdict(run.integral, run.norm, run.fs,",
+           "final_verdict(run.integral, run.norm, character.fs_indicator(run.G, run.chi),",
+           ("tests/test_report.py::test_verdict_facts_computed_once",),
+           "the verdict takes the indicator its check computed"),
+    Mutant("order-statistics-count-classes", REPORT,
+           "stats[n] = stats.get(n, 0) + c.size", "stats[n] = stats.get(n, 0) + 1",
+           ("tests/test_report.py::test_all_checks_pass_at_p5",),
+           "the order statistics count elements"),
+    Mutant("check-renamed", REPORT,
+           'run.mark("hasse_weil_sharp",', 'run.mark("hasse_weil_bound",',
+           ("tests/test_report.py::test_check_names_and_order",),
+           "readers of the report, the benchmark too, find checks by name"),
+    Mutant("series-gives-up-at-user-precision", SERIES,
+           "if prec >= default:", "if True:",
+           ("tests/test_series.py::test_wild_multiplicity_gives_up_at_the_default_precision",),
+           "a small window doubles until it reaches the default"),
 )
 
 

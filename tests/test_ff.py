@@ -208,6 +208,30 @@ def test_inverse_matches_fermat_oracle(p, k):
         assert a * inv == field.one(), c
 
 
+def test_power_makes_the_same_products():
+    # residues mod 1009 under a recording product: from one, the product
+    # with x^(2^i) for each set bit i, then the square, the last one too
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b % 1009
+    assert ff.power(3, 5, mul, 1) == 243
+    assert products == [(1, 3), (3, 3), (9, 9), (3, 81), (81, 81)]
+    for n in range(70):
+        products.clear()
+        assert ff.power(3, n, mul, 1) == pow(3, n, 1009)
+        assert len(products) == bin(n).count("1") + n.bit_length()
+
+
+@pytest.mark.parametrize("m", [31, 241])
+def test_multiplicative_order_matches_walking_oracle(m):
+    # every unit mod a prime m; 241 - 1 = 2^4 * 3 * 5 has a repeated prime
+    for x in range(1, m):
+        walked = next(n for n in range(1, m) if pow(x, n, m) == 1)
+        assert ff.multiplicative_order(m - 1, lambda e: pow(x, e, m) == 1) == walked
+
+
 def test_basic_prime_field_arithmetic():
     F5 = make_field(5, 1)
     assert F5.element(3) + F5.element(4) == F5.element(2)

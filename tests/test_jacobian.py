@@ -2,6 +2,7 @@
 trace congruences that realize independence-of-ell at finite level."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from roquette.poly import Poly, roots_with_multiplicity
 from roquette.report import PipelineOptions, run_pipeline
 
 from point_action import act
+from test_ff import irreducible_by_gcd
 
 
 def mat_det(A, ell):
@@ -421,6 +423,26 @@ def test_traces_and_character_independent_of_the_fp2_root(p, request, monkeypatc
     assert (J.rho_ell_traces(G, tb), CH.lefschetz_character(G)) == before
     traces, chi = before
     assert all((cv - tv) % 3 == 0 for cv, tv in zip(chi.values, traces.values))
+
+
+def test_traces_do_not_depend_on_the_modulus(group5, traces3, monkeypatch):
+    # metamorphic: F_{5^4} on another irreducible quartic is the same field
+    # in other coordinates, and traces are basis-free, so the ell = 3 traces
+    # over it equal those over the field of make_field; the quartic is the
+    # next one after ff.first_irreducible in its enumeration order
+    quartics = ((c0,) + upper + (1,) for c0 in range(1, 5)
+                for upper in itertools.product(range(5), repeat=3))
+    first = ff.first_irreducible(5, 4)
+    other = ff.FieldDescriptor(
+        5, 4, next(f for f in quartics if f > first and irreducible_by_gcd(f, 5)))
+    real = J.make_field
+    monkeypatch.setattr(J, "make_field", lambda p, k: other if (p, k) == (5, 4) else real(p, k))
+    try:
+        tb = J.torsion_basis(group5, 3, seed=0)
+        assert tb.field is other
+        assert J.rho_ell_traces(group5, tb) == traces3
+    finally:
+        C._fp2_root.cache_clear()
 
 
 def test_crt_reconstruction_equals_character(group5, traces3, traces7):

@@ -278,6 +278,28 @@ def test_reports_differ_only_in_the_seed(p, seeds):
     assert all(doc == docs[0] for doc in docs[1:])
 
 
+def test_report_does_not_depend_on_the_fp2_root(monkeypatch):
+    # metamorphic: lambda realized through the other root of the F_{p^2}
+    # modulus turns each g into its Frobenius conjugate g^(p), which keeps
+    # every trace and fixed-point count (curve._fp2_root), so the report
+    # with both witnesses at p = 5 keeps every byte
+    before = emit(run_pipeline(5), "json")
+    root, m1 = curve._fp2_root, get_group(5).fp2.modulus[1]
+    fields = []
+
+    def other_root(target):
+        fields.append(target)
+        return -m1 - root(target)
+    monkeypatch.setattr(curve, "_fp2_root", other_root)
+    try:
+        after = emit(run_pipeline(5), "json")
+        swapped = {F.k for F in set(fields) if -m1 - root(F) != root(F)}
+    finally:
+        root.cache_clear()
+    assert swapped == {4, 12}  # both witness fields, ell = 3 and 7
+    assert after == before
+
+
 def test_markdown_checklist(report5):
     text = emit(report5, "markdown").decode()
     assert "does not lift to characteristic 0" in text
