@@ -4,8 +4,10 @@ the curve, with the checks that certify its arithmetic nature.
 The character is assembled from fixed-point data: the value at a
 nonidentity class is 2 minus the total multiplicity of the fixed-point
 scheme of any representative, and the value at the identity is 2g = p-1.
-All downstream arithmetic (inner products, restriction multiplicities,
-the Frobenius-Schur indicator) is done in exact rationals.
+A class function is a plain tuple of values, one per conjugacy class in
+the order of group.conjugacy_classes.  All downstream arithmetic (inner
+products, restriction multiplicities, the Frobenius-Schur indicator) is
+done in exact rationals.
 
 These functions compute the facts the verdict rests on: an irreducible
 character with integer values and Frobenius-Schur indicator -1 belongs to
@@ -19,26 +21,14 @@ report.final_verdict, from the values the report's checks computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curve
 from .group import RoquetteGroup
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Values (one per conjugacy class, in class order) on a fixed group."""
-
-    p: int
-    values: tuple
-
-    def __len__(self):
-        return len(self.values)
-
-
 def lefschetz_character(group: RoquetteGroup,
-                        precision: int | None = None) -> ClassFunction:
+                        precision: int | None = None) -> tuple:
     """The H^1 character: chi(1) = p-1 and chi(g) = 2 - L(g) otherwise."""
     vals = []
     for cls in group.conjugacy_classes:
@@ -46,28 +36,27 @@ def lefschetz_character(group: RoquetteGroup,
             vals.append(group.p - 1)
         else:
             vals.append(2 - curve.fixed_scheme_degree(group, cls.rep, precision))
-    return ClassFunction(p=group.p, values=tuple(vals))
+    return tuple(vals)
 
 
-def inner_product(group: RoquetteGroup, f1: ClassFunction,
-                  f2: ClassFunction) -> Fraction:
+def inner_product(group: RoquetteGroup, f1: tuple, f2: tuple) -> Fraction:
     """(1/|G|) sum over classes of size * f1 * f2 (real-valued characters)."""
-    if len(f1) != len(f2) or f1.p != f2.p:
+    if not len(f1) == len(f2) == len(group.conjugacy_classes):
         raise ValueError("class functions live on different class lists")
     total = 0
-    for cls, v1, v2 in zip(group.conjugacy_classes, f1.values, f2.values):
+    for cls, v1, v2 in zip(group.conjugacy_classes, f1, f2):
         total += cls.size * v1 * v2
     return Fraction(total, group.order)
 
 
-def order_p_value(group: RoquetteGroup, chi: ClassFunction):
+def order_p_value(group: RoquetteGroup, chi: tuple):
     """chi on the single class of order-p elements."""
     u = group.unipotent()
-    return chi.values[group.class_of(u)]
+    return chi[group.class_of(u)]
 
 
 def sylow_restriction(group: RoquetteGroup,
-                      chi: ClassFunction) -> tuple[Fraction, Fraction]:
+                      chi: tuple) -> tuple[Fraction, Fraction]:
     """Multiplicities (trivial, each nontrivial) of the restriction to the
     order-p subgroup.
 
@@ -80,24 +69,24 @@ def sylow_restriction(group: RoquetteGroup,
     integers for a true character.
     """
     p = group.p
-    chi1 = chi.values[group.class_of(group.identity)]
+    chi1 = chi[group.class_of(group.identity)]
     n = order_p_value(group, chi)
     return (Fraction(chi1 + (p - 1) * n, p), Fraction(chi1 - n, p))
 
 
-def fs_indicator(group: RoquetteGroup, chi: ClassFunction) -> Fraction:
+def fs_indicator(group: RoquetteGroup, chi: tuple) -> Fraction:
     """Frobenius-Schur indicator (1/|G|) sum of chi(g^2) over the group.
 
     Squares of conjugates are conjugate, so the sum is taken over classes:
     sum of |C| * chi(rep^2), one multiplication per class.
     """
-    total = sum(cls.size * chi.values[group.class_of(group.mul(cls.rep, cls.rep))]
+    total = sum(cls.size * chi[group.class_of(group.mul(cls.rep, cls.rep))]
                 for cls in group.conjugacy_classes)
     return Fraction(total, group.order)
 
 
-def kernel_of_character(group: RoquetteGroup, chi: ClassFunction) -> list:
+def kernel_of_character(group: RoquetteGroup, chi: tuple) -> list:
     """The classes where chi = chi(1), by index; their union is the kernel,
     trivial exactly when it is the identity class alone."""
-    chi1 = chi.values[group.class_of(group.identity)]
-    return [i for i, v in enumerate(chi.values) if v == chi1]
+    chi1 = chi[group.class_of(group.identity)]
+    return [i for i, v in enumerate(chi) if v == chi1]

@@ -1,52 +1,24 @@
-"""The curve y^2 = x^p - x: points, counts, lambda in a working field,
+"""The curve y^2 = x^p - x: point counts, lambda in a working field,
 and the Lefschetz numbers of its automorphisms.
 
-An automorphism (A, lam) with A = [[a, b], [c, d]] sends an affine point
-(x, y) to ((a*x+b)/(c*x+d), lam * y / (c*x+d)^((p+1)/2)).  The double
-cover is ramified exactly over P^1(F_p), so branch x-values are the
-prime-field points plus infinity.  The Lefschetz number L(g) is computed
-from (A, lam) in F_{p^2}, where the fixed x-values of A already lie; no
-point is built or moved.  The point action itself is a test oracle, and
-tests count fixed points with it over F_{p^4} to check L(g).
+No point is built here: counts come from square roots of x^p - x, and
+everything else is read off an automorphism g = (A, lam).  With
+A = [[a, b], [c, d]], g sends an affine point (x, y) to
+((a*x+b)/(c*x+d), lam * y / (c*x+d)^((p+1)/2)).  The double cover is
+ramified exactly over P^1(F_p), so branch x-values are the prime-field
+points plus infinity.  The Lefschetz number L(g) is computed from (A, lam)
+in F_{p^2}, where the fixed x-values of A already lie.  The points and
+their action are a test oracle (tests/point_action.py), and tests count
+fixed points with it over F_{p^4} to check L(g).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import ff, series
 from .ff import FieldDescriptor, FieldElement, make_field
 from .group import RoquetteGroup
-
-
-class _InfinityType:
-    """The single point at infinity (the degree-p model has exactly one)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinity"
-
-
-INFINITY = _InfinityType()
-
-
-@dataclass(frozen=True)
-class Point:
-    x: FieldElement
-    y: FieldElement
-
-    def __repr__(self):
-        return f"({self.x!r}, {self.y!r})"
-
-
-CurvePoint = Point | _InfinityType
 
 
 def curve_value(x: FieldElement) -> FieldElement:
@@ -54,25 +26,17 @@ def curve_value(x: FieldElement) -> FieldElement:
     return x.frobenius(1) - x
 
 
-def curve_points(p: int, k: int) -> list:
-    """All points over F_{p^k}, affine in lex order of x then y, Infinity last."""
-    field = make_field(p, k)
-    out = []
-    for x in field.elements():
+def point_count(p: int, k: int) -> int:
+    """#C(F_{p^k}): one point over each root of x^p - x, two over each other
+    x where x^p - x is a square, and the point at infinity."""
+    count = 1
+    for x in make_field(p, k).elements():
         v = curve_value(x)
         if v.is_zero():
-            out.append(Point(x, field.zero()))
-            continue
-        r = ff.sqrt(v)
-        if r is not None:
-            out.append(Point(x, r))
-            out.append(Point(x, -r))
-    out.append(INFINITY)
-    return out
-
-
-def point_count(p: int, k: int) -> int:
-    return len(curve_points(p, k))
+            count += 1
+        elif ff.sqrt(v) is not None:
+            count += 2
+    return count
 
 
 def frobenius_sign(p: int) -> int:
@@ -109,7 +73,7 @@ def _fp2_root(target: FieldDescriptor) -> FieldElement:
     return (rt - m1) / 2
 
 
-def lambda_in(group: RoquetteGroup, g, target: FieldDescriptor) -> FieldElement:
+def lambda_in(g, target: FieldDescriptor) -> FieldElement:
     """The lambda component of g realized in the target field."""
     return g[4] + g[5] * _fp2_root(target)
 

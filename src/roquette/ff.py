@@ -50,22 +50,8 @@ SQRT_TABLE_LIMIT = 100_000
 _BYTEORDER = sys.byteorder  # array digits are packed in native order
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -77,6 +63,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def power(x, n: int, mul, one):

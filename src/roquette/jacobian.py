@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 
 from . import curve, ff
-from .character import ClassFunction
 from .ff import FieldDescriptor, make_field
 from .group import RoquetteGroup
 from .poly import Poly
@@ -88,15 +87,14 @@ class CurveJacobian:
     def zero(self) -> MumfordDivisor:
         return MumfordDivisor(self.field, Poly.one(self.field), Poly.zero(self.field))
 
-    def from_point(self, P) -> MumfordDivisor:
-        if P is curve.INFINITY:
-            return self.zero()
-        if P.x.field != self.field:
+    def from_point(self, x, y) -> MumfordDivisor:
+        """The class of (x, y) - inf."""
+        if x.field != self.field:
             raise ValueError("point lies over a different field")
-        if P.y * P.y != self.f.evaluate(P.x):
+        if y * y != self.f.evaluate(x):
             raise ValueError("point is not on the curve")
-        u = Poly(self.field, (-P.x, self.field.one()))
-        v = Poly(self.field, (P.y,))
+        u = Poly(self.field, (-x, self.field.one()))
+        v = Poly(self.field, (y,))
         return MumfordDivisor(self.field, u, v)
 
     def is_valid(self, D: MumfordDivisor) -> bool:
@@ -153,7 +151,7 @@ class CurveJacobian:
                     continue
                 if rng.randrange(2):
                     y = -y
-            acc = self.add(acc, self.from_point(curve.Point(x, y)))
+            acc = self.add(acc, self.from_point(x, y))
             picked += 1
         return acc
 
@@ -188,7 +186,7 @@ def act_on_class(group: RoquetteGroup, g, D: MumfordDivisor) -> MumfordDivisor:
     """
     p = group.p
     field = D.field
-    lam = curve.lambda_in(group, g, field)
+    lam = curve.lambda_in(g, field)
     if D.is_zero():
         return D
     jac = CurveJacobian(field, p)
@@ -200,7 +198,7 @@ def act_on_class(group: RoquetteGroup, g, D: MumfordDivisor) -> MumfordDivisor:
     scale = lam * ((a * d - b * c) ** half).inverse()
     out = MumfordDivisor(field, u, _substitute(D.v, num, den, half).scale(scale) % u)
     if not c.is_zero() and D.degree() % 2:
-        out = jac.add(out, jac.from_point(curve.Point(a / c, field.zero())))
+        out = jac.add(out, jac.from_point(a / c, field.zero()))
     if not jac.is_valid(out):
         raise RuntimeError("image is not a valid reduced divisor; "
                            "this indicates an internal inconsistency")
@@ -328,16 +326,16 @@ def mat_trace(A, ell: int) -> int:
     return sum(A[i][i] for i in range(len(A))) % ell
 
 
-def rho_ell_traces(group: RoquetteGroup, basis: TorsionBasis) -> ClassFunction:
-    """Per-class traces mod ell of the torsion representation."""
+def rho_ell_traces(group: RoquetteGroup, basis: TorsionBasis) -> tuple:
+    """Per-class traces mod ell of the torsion representation, in class order."""
     vals = []
     for cls in group.conjugacy_classes:
         M = rep_matrix(group, cls.rep, basis)
         vals.append(mat_trace(M, basis.ell))
-    return ClassFunction(p=group.p, values=tuple(vals))
+    return tuple(vals)
 
 
-def crt_reconstruct(p: int, traces: dict) -> ClassFunction:
+def crt_reconstruct(p: int, traces: dict) -> tuple:
     """Recombine per-ell traces into the unique small integer class function.
 
     The moduli product must exceed 2(p-1) so that values bounded by the
@@ -361,7 +359,7 @@ def crt_reconstruct(p: int, traces: dict) -> ClassFunction:
     for i in range(n_classes):
         x = 0
         for ell in ells:
-            r = traces[ell].values[i] % ell
+            r = traces[ell][i] % ell
             step = modulus // ell
             x += r * step * pow(step, -1, ell)
         x %= modulus
@@ -372,4 +370,4 @@ def crt_reconstruct(p: int, traces: dict) -> ClassFunction:
                 f"reconstructed value {x} exceeds the degree bound {p - 1}; "
                 "the congruences are inconsistent")
         out.append(x)
-    return ClassFunction(p=p, values=tuple(out))
+    return tuple(out)

@@ -240,21 +240,21 @@ def _character_stage(run: _Run) -> None:
     classes = G.conjugacy_classes
     chi = run.chi = character.lefschetz_character(G, run.options.series_precision)
     id_idx = G.class_of(G.identity)
-    run.mark("char_degree", chi.values[id_idx] == p - 1,
+    run.mark("char_degree", chi[id_idx] == p - 1,
              f"the cohomology character has degree 2g = p-1 = {p - 1}",
-             value=chi.values[id_idx])
+             value=chi[id_idx])
     run.mark("char_involution",
-             chi.values[G.class_of(G.involution)] == -(p - 1),
+             chi[G.class_of(G.involution)] == -(p - 1),
              "the hyperelliptic involution acts as -1, so its trace is -(p-1)",
-             value=chi.values[G.class_of(G.involution)])
+             value=chi[G.class_of(G.involution)])
     n_chi = character.order_p_value(G, chi)
     run.mark("char_order_p", n_chi == -1,
              "order-p elements have trace -1 (fixed-point multiplicity 3 at infinity)",
              value=n_chi)
     run.integral = run.mark("char_integral",
-                            all(isinstance(v, int) for v in chi.values),
+                            all(isinstance(v, int) for v in chi),
                             "every character value is a rational integer",
-                            values=list(chi.values))
+                            values=list(chi))
     ip = run.norm = character.inner_product(G, chi, chi)
     run.mark("char_irreducible", ip == 1,
              "the character has norm 1, hence is absolutely irreducible",
@@ -274,8 +274,8 @@ def _character_stage(run: _Run) -> None:
     run.mark("char_faithful", not unfaithful,
              "the character kernel is trivial: the action on cohomology is faithful",
              kernel_size=sum(classes[i].size for i in kernel), **unfaithful)
-    negated = ((i, -v, chi.values[G.class_of(G.mul(c.rep, G.involution))])
-               for i, (c, v) in enumerate(zip(classes, chi.values)))
+    negated = ((i, -v, chi[G.class_of(G.mul(c.rep, G.involution))])
+               for i, (c, v) in enumerate(zip(classes, chi)))
     sign_witness = next(({"class": i, "expected": e, "found": f}
                          for i, e, f in negated if e != f), {})
     run.mark("char_sign_rule", not sign_witness,
@@ -292,7 +292,7 @@ def _character_stage(run: _Run) -> None:
              "wild fixed points carry multiplicity 3 (order p) and 1 (order 2p)",
              **wild_data)
     run.blocks["character"] = {
-        "values": list(chi.values), "class_sizes": [c.size for c in classes],
+        "values": list(chi), "class_sizes": [c.size for c in classes],
         "class_orders": run.class_orders, "inner_product": _json_num(ip),
         "fs_indicator": _json_num(nu),
         "sylow_multiplicities": [_json_num(triv_mult), _json_num(nontriv_mult)]}
@@ -304,10 +304,10 @@ def _witness_stage(run: _Run, ell: int) -> None:
                                    bound=run.options.ell_bound)
     traces = run.traces[ell] = jacobian.rho_ell_traces(run.G, basis)
     congruent = all((cv - tv) % ell == 0
-                    for cv, tv in zip(run.chi.values, traces.values))
+                    for cv, tv in zip(run.chi, traces))
     entry = {"ell": ell, "m": basis.m, "field_degree": 2 * basis.m,
              "jacobian_order": basis.jacobian_order, "basis_size": len(basis.basis),
-             "span": basis.span_size, "traces": list(traces.values),
+             "span": basis.span_size, "traces": list(traces),
              "congruent": congruent}
     run.mark(f"ell_witness_{ell}", congruent,
              f"the torsion representation mod {ell} (basis spanning "
@@ -329,13 +329,13 @@ def _crt_stage(run: _Run) -> None:
     p, traces, moduli = run.p, run.traces, sorted(run.traces)
     if traces and math.prod(traces) > 2 * (p - 1):
         rec = jacobian.crt_reconstruct(p, traces)
-        run.mark("crt_reconstruction", rec.values == run.chi.values,
+        run.mark("crt_reconstruction", rec == run.chi,
                  "the integer class function recombined from all torsion traces "
                  "equals the cohomology character exactly",
-                 reconstructed=list(rec.values))
+                 reconstructed=list(rec))
         run.blocks["crt"] = {"status": "computed", "moduli": moduli,
-                             "values": list(rec.values),
-                             "equals_character": rec.values == run.chi.values}
+                             "values": list(rec),
+                             "equals_character": rec == run.chi}
     elif traces:
         run.mark("crt_reconstruction", None,
                  "reconstruction skipped (bound): the available moduli product "

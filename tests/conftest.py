@@ -1,6 +1,6 @@
 import pytest
 
-from roquette import curve, ff, jacobian
+from roquette import ff, jacobian
 from roquette.ff import make_field
 from roquette.group import RoquetteGroup, get_group
 from roquette.poly import Poly
@@ -20,12 +20,12 @@ def enumerate_reduced(jac) -> list:
     for a in field.elements():
         val = jac.f.evaluate(a)
         if val.is_zero():
-            out.append(jac.from_point(curve.Point(a, field.zero())))
+            out.append(jac.from_point(a, field.zero()))
         else:
             b = ff.sqrt(val)
             if b is not None:
-                out.append(jac.from_point(curve.Point(a, b)))
-                out.append(jac.from_point(curve.Point(a, -b)))
+                out.append(jac.from_point(a, b))
+                out.append(jac.from_point(a, -b))
     if jac.genus < 2:
         return out
     # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with v^2 = f mod u
@@ -65,16 +65,34 @@ def classes_f25():
 
 
 @pytest.fixture
-def mul_calls(monkeypatch) -> list:
-    """A one-element list counting RoquetteGroup.mul calls from now on."""
-    calls = [0]
-    mul = RoquetteGroup.mul
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps the function or method owner.name and
+    returns a one-element list counting its calls from now on."""
+    def install(owner, name: str) -> list:
+        calls = [0]
+        real = getattr(owner, name)
 
-    def counted(self, g, h):
-        calls[0] += 1
-        return mul(self, g, h)
-    monkeypatch.setattr(RoquetteGroup, "mul", counted)
-    return calls
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+    return install
+
+
+@pytest.fixture
+def mul_calls(count_calls) -> list:
+    """A one-element list counting RoquetteGroup.mul calls from now on."""
+    return count_calls(RoquetteGroup, "mul")
+
+
+@pytest.fixture
+def fresh_groups():
+    # a group built under a patched method, or whose construction a test
+    # counts, must not outlive the test
+    get_group.cache_clear()
+    yield
+    get_group.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -124,6 +124,11 @@ MUTANTS = (
     Mutant("inverse-of-zero-returns", FF,
            'raise ZeroDivisionError("inverse of zero")', "return self",
            ("tests/test_ff.py::test_division_by_zero",), "zero has no inverse"),
+    # the one prime test, on the one trial-division loop
+    Mutant("is-prime-accepts-prime-powers", FF,
+           "prime_factors(n) == [n]", "len(prime_factors(n)) == 1",
+           ("tests/test_ff.py::test_prime_test_and_factors_match_a_sieve",),
+           "a prime power has one prime factor too"),
     # the one square-and-multiply loop and the one order search
     Mutant("power-squares-before-multiplying", FF,
            "        if n & 1:\n            acc = mul(acc, x)\n        x = mul(x, x)\n",
@@ -148,7 +153,7 @@ MUTANTS = (
     Mutant("packed-without-final-reduction", FF,
            "tuple([c % p for c in array(tc, low.to_bytes(", "tuple([c for c in array(tc, low.to_bytes(",
            (PACKED,), "the unpacked digits are below 2k(p - 1)^2, not below p"),
-    # lambda in a working field and the point count it rests on
+    # lambda in a working field and the point counts
     Mutant("lambda-negated", CURVE,
            "return g[4] + g[5] * _fp2_root(target)", "return -(g[4] + g[5] * _fp2_root(target))",
            ("tests/test_jacobian.py::test_traces_and_character_independent_of_the_fp2_root",),
@@ -157,6 +162,14 @@ MUTANTS = (
            "return p * p + 1 - frobenius_sign(p) * p * (p - 1)",
            "return p * p + 1 + frobenius_sign(p) * p * (p - 1)",
            ("tests/test_curve.py::test_point_counts",), "#C(F_{p^2}) meets the lower Weil bound at eps = 1"),
+    Mutant("point-count-root-twice", CURVE,
+           "            count += 1\n", "            count += 2\n",
+           ("tests/test_curve.py::test_point_counts",),
+           "a root of x^p - x is a branch point, with one point above it"),
+    Mutant("point-count-without-infinity", CURVE,
+           "    count = 1\n", "    count = 0\n",
+           ("tests/test_curve.py::test_point_counts",),
+           "the degree-p model has one point at infinity"),
     # the divisor action in the class's own field
     Mutant("action-without-weierstrass-add", JACOBIAN,
            "if not c.is_zero() and D.degree() % 2:", "if False:",

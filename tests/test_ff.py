@@ -107,6 +107,17 @@ def test_composite_p_rejected():
         make_field(3, 1)  # below the genus-2 floor
 
 
+def test_prime_test_and_factors_match_a_sieve():
+    # the sieve of Eratosthenes is the oracle; the prime powers 4, 8, 9,
+    # 25, ... have one prime factor each and are not prime
+    n = 200
+    composite = {m for d in range(2, n) for m in range(d * d, n, d)}
+    primes = [m for m in range(2, n) if m not in composite]
+    assert [m for m in range(-3, n) if ff.is_prime(m)] == primes
+    for m in range(2, n):
+        assert ff.prime_factors(m) == [q for q in primes if m % q == 0], m
+
+
 def test_modulus_is_irreducible_by_gcd_oracle():
     for p, k in [(5, 2), (5, 4), (7, 2), (5, 6)]:
         assert irreducible_by_gcd(make_field(p, k).modulus, p)

@@ -97,14 +97,6 @@ def test_cli_reports_a_failed_witness(monkeypatch, capsys):
     assert "FAILED: ell_witness_3" in captured.err
 
 
-@pytest.fixture
-def fresh_groups():
-    # a group built under a patched method must not outlive the test
-    get_group.cache_clear()
-    yield
-    get_group.cache_clear()
-
-
 def _failed_stage(argv, capsys):
     """Run the CLI for a JSON report in which one stage raised; check the exit
     status, stderr and verdict, and return the report and that stage's check."""
@@ -166,6 +158,16 @@ def test_a_run_walks_the_group_once(fresh_groups, monkeypatch, p, options):
     assert calls == [p]
 
 
+def test_classes_p29_operation_counts(fresh_groups, count_calls, mul_calls):
+    # machine-independent work counts of the classes-p29 benchmark workload:
+    # the class search and the group checks, and the wild series (the
+    # witness is skipped)
+    series_muls = count_calls(series.TruncatedSeries, "__mul__")
+    assert run_pipeline(29, PipelineOptions(max_prime=29)).exit_code == 0
+    assert mul_calls[0] <= 296_824
+    assert series_muls[0] <= 648
+
+
 def test_pipeline_memory_stays_below_the_group_size(fresh_groups):
     # the group stage keeps per-slot tables of a few bytes, not sets or
     # dicts over G (those cost ~150 bytes an element)
@@ -213,11 +215,11 @@ def test_failed_character_checks_carry_their_witnesses(monkeypatch):
     # chi(1) on the order-p class puts that class in the kernel and breaks
     # the sign rule there
     G = get_group(5)
-    values = list(CH.lefschetz_character(G).values)
+    values = list(CH.lefschetz_character(G))
     k = G.class_of(G.unipotent())
     values[k] = values[G.class_of(G.identity)]
     monkeypatch.setattr(CH, "lefschetz_character",
-                        lambda group, precision=None: CH.ClassFunction(5, tuple(values)))
+                        lambda group, precision=None: tuple(values))
     checks = {c.name: c for c in run_pipeline(5, OPTS_FAST).checks}
     assert checks["char_faithful"].status == "fail"
     assert checks["char_faithful"].data == {
@@ -445,7 +447,7 @@ def test_wide_prime_range_obstructed(p):
 
 def test_verdict_monotone_under_fault_injection(group5):
     chi = CH.lefschetz_character(group5)
-    facts = (all(isinstance(v, int) for v in chi.values),
+    facts = (all(isinstance(v, int) for v in chi),
              CH.inner_product(group5, chi, chi), CH.fs_indicator(group5, chi))
     assert final_verdict(*facts, any_failures=False)["lifts"] == "obstructed"
     # any failed check anywhere flips the verdict away from obstructed
