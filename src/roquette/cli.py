@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify the lifting obstruction carried by the curve "
                     "y^2 = x^p - x for a concrete prime p.")
     ap.add_argument("--prime", type=int, required=True,
-                    help="the prime p (5 <= p <= the configured maximum)")
+                    help=f"the prime p (5 <= p <= {PipelineOptions.max_prime})")
     ap.add_argument("--ell", type=str, default=None,
                     help="comma-separated odd primes for the torsion witness "
                          "(default: automatic selection)")

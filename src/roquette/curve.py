@@ -1,9 +1,9 @@
 """The curve y^2 = x^p - x: point counts, lambda in a working field,
 and the Lefschetz numbers of its automorphisms.
 
-No point is built here: counts come from square roots of x^p - x, and
-everything else is read off an automorphism g = (A, lam).  With
-A = [[a, b], [c, d]], g sends an affine point (x, y) to
+No point is built here: counts come from the quadratic characters of the
+image of x^p - x, and everything else is read off an automorphism
+g = (A, lam).  With A = [[a, b], [c, d]], g sends an affine point (x, y) to
 ((a*x+b)/(c*x+d), lam * y / (c*x+d)^((p+1)/2)).  The double cover is
 ramified exactly over P^1(F_p), so branch x-values are the prime-field
 points plus infinity.  The Lefschetz number L(g) is computed from (A, lam)
@@ -27,15 +27,20 @@ def curve_value(x: FieldElement) -> FieldElement:
 
 
 def point_count(p: int, k: int) -> int:
-    """#C(F_{p^k}): one point over each root of x^p - x, two over each other
-    x where x^p - x is a square, and the point at infinity."""
-    count = 1
-    for x in make_field(p, k).elements():
-        v = curve_value(x)
-        if v.is_zero():
-            count += 1
-        elif ff.sqrt(v) is not None:
-            count += 2
+    """#C(F_{p^k}) = 1 + p^k + p * sum of (w | F_{p^k}) over w != 0 in the
+    image W of L(x) = x^p - x: 1 + (L(x) | F_{p^k}) points lie above each x.
+    L is F_p-linear with kernel F_p (Lidl and Niederreiter, Finite Fields,
+    section 3.4), so it takes each value of W exactly p times, and W is
+    spanned by L(z^i) for 1 <= i < k, z = gen()."""
+    field = make_field(p, k)
+    image = [field.zero()]
+    for i in range(1, k):
+        b = curve_value(field.gen() ** i)
+        image = [w + c * b for c in range(p) for w in image]
+    count = 1 + p ** k
+    for w in image:
+        if not w.is_zero():
+            count += p if ff.sqrt(w) is not None else -p
     return count
 
 

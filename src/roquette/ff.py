@@ -12,7 +12,8 @@ reproducible:
   degree k in lexicographic order of the coefficient vector (constant
   term most significant); for k = 1 the modulus is x;
 * the canonical square root of an element is the one whose coefficient
-  vector is lexicographically smaller of the two.
+  vector is lexicographically smaller of the two; every field, whatever its
+  size, takes it from one Tonelli-Shanks routine (`sqrt`).
 
 Multiplication in F_{p^k}, k >= 2, is one big-int product (Kronecker
 substitution).  Each coefficient vector is packed into an int with one
@@ -42,10 +43,6 @@ import operator
 import random
 import sys
 from array import array
-
-# Fields up to this order get a cached table of canonical square roots;
-# larger fields use Tonelli-Shanks exponentiation.
-SQRT_TABLE_LIMIT = 100_000
 
 _BYTEORDER = sys.byteorder  # array digits are packed in native order
 
@@ -145,8 +142,7 @@ class FieldDescriptor:
     equal descriptors are the same object and per-field caches are shared.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_hash", "_packed",
-                 "_sqrt_table", "_nonresidue")
+    __slots__ = ("p", "k", "modulus", "order", "_hash", "_packed", "_nonresidue")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -155,7 +151,6 @@ class FieldDescriptor:
         self.order = p ** k
         self._hash = hash((p, k, modulus))
         self._packed = None
-        self._sqrt_table = None
         self._nonresidue = None
 
     def __eq__(self, other):
@@ -247,17 +242,6 @@ class FieldDescriptor:
         for fold, c in zip(folds, digits[k:]):
             low += fold[c % p]
         return tuple([c % p for c in array(tc, low.to_bytes(k * width, _BYTEORDER))])
-
-    def _sqrt_lookup(self):
-        # canonical-root table, built once, for fields small enough
-        if self._sqrt_table is None:
-            table: dict[tuple, tuple] = {}
-            for coeffs in itertools.product(range(self.p), repeat=self.k):
-                sq = self._mul_coeffs(coeffs, coeffs)
-                if sq not in table:
-                    table[sq] = coeffs  # lex enumeration => first hit is canonical
-            self._sqrt_table = table
-        return self._sqrt_table
 
 
 class FieldElement:
@@ -427,19 +411,17 @@ def sqrt(a: FieldElement):
     """Canonical square root of a in its own field, or None.
 
     Canonical means the root whose coefficient vector is lexicographically
-    smaller of the pair {r, -r}.  Small fields answer from a cached table;
-    larger ones run Tonelli-Shanks.
+    smaller of the pair {r, -r}.  One path for every field: Euler's
+    criterion, then Tonelli-Shanks (Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 1.5.1) with the field's first
+    non-residue.
     """
     field = a.field
     if a.is_zero():
         return field.zero()
-    if field.order <= SQRT_TABLE_LIMIT:
-        hit = field._sqrt_lookup().get(a.coeffs)
-        return FieldElement(field, hit) if hit is not None else None
     q = field.order
     if (a ** ((q - 1) // 2)) != field.one():
         return None
-    # Tonelli-Shanks
     t, s = q - 1, 0
     while t % 2 == 0:
         t //= 2

@@ -175,15 +175,10 @@ class RoquetteGroup:
                 yield (0, 1, c, d)
 
     def sqrt_group_elements(self) -> list:
-        """All lam in F_{p^2} with lam^2 in F_p^x; there are 2(p-1) of them."""
-        out = []
-        for e in self.fp2.elements():
-            if e.is_zero():
-                continue
-            sq = e * e
-            if sq.coeffs[1] == 0 and sq.coeffs[0] != 0:
-                out.append(e)
-        return out
+        """All lam in F_{p^2} with lam^2 in F_p^x, 2(p-1) of them: the two
+        roots of each v in F_p^x, read from _det_roots."""
+        return [self.fp2.element(r) for v in range(1, self.p)
+                for r in self._det_roots[v]]
 
     # -- conjugacy ----------------------------------------------------------------------
 

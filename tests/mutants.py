@@ -163,13 +163,31 @@ MUTANTS = (
            "return p * p + 1 + frobenius_sign(p) * p * (p - 1)",
            ("tests/test_curve.py::test_point_counts",), "#C(F_{p^2}) meets the lower Weil bound at eps = 1"),
     Mutant("point-count-root-twice", CURVE,
-           "            count += 1\n", "            count += 2\n",
+           "count += p if ff.sqrt(w) is not None else -p",
+           "count += 1 if ff.sqrt(w) is not None else -1",
            ("tests/test_curve.py::test_point_counts",),
-           "a root of x^p - x is a branch point, with one point above it"),
+           "x^p - x takes each value of its image at p values of x"),
     Mutant("point-count-without-infinity", CURVE,
-           "    count = 1\n", "    count = 0\n",
+           "count = 1 + p ** k", "count = p ** k",
            ("tests/test_curve.py::test_point_counts",),
            "the degree-p model has one point at infinity"),
+    Mutant("point-count-span-from-kernel", CURVE,
+           "for i in range(1, k):", "for i in range(k):",
+           ("tests/test_curve.py::test_point_counts",),
+           "L(z^0) = 0 lies in the kernel: spanning with it lists each value p times more"),
+    Mutant("point-count-zero-value-counted", CURVE,
+           "if not w.is_zero():", "if True:",
+           ("tests/test_curve.py::test_point_counts",),
+           "above a root of x^p - x lies one point, not two"),
+    # the one square-root routine and the square roots of det
+    Mutant("sqrt-not-canonical", FF,
+           "return min(r, -r, key=lambda e: e.coeffs)", "return r",
+           ("tests/test_ff.py::test_sqrt_matches_exhaustive_oracle",),
+           "the canonical root is the lexicographically smaller of +-r"),
+    Mutant("sqrt-group-one-root-per-det", GROUP,
+           "for r in self._det_roots[v]]", "for r in self._det_roots[v][:1]]",
+           ("tests/test_group.py::test_sqrt_group",),
+           "each v in F_p^x has two square roots in F_{p^2}"),
     # the divisor action in the class's own field
     Mutant("action-without-weierstrass-add", JACOBIAN,
            "if not c.is_zero() and D.degree() % 2:", "if False:",

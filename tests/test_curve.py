@@ -26,16 +26,32 @@ def brute_force_count(p, k):
     return total + 1  # one point at infinity
 
 
+def sharp_count(p, k):
+    """p + 1 over F_p; over F_{p^2}, p^2 + 1 - eps p(p - 1) with eps = +1
+    exactly when p = 1 mod 4."""
+    if k == 1:
+        return p + 1
+    return p * p + 1 - (1 if p % 4 == 1 else -1) * p * (p - 1)
+
+
 @pytest.mark.parametrize("p,k,expected", [
-    (5, 1, 6), (7, 1, 8), (11, 1, 12), (13, 1, 14),
-    (5, 2, 6), (7, 2, 92), (11, 2, 232), (13, 2, 14), (29, 2, 30),
-    (5, 4, 526),
-])
+    (p, k, sharp_count(p, k)) for p in range(5, 62) if ff.is_prime(p) for k in (1, 2)
+] + [(5, 4, 526)])
 def test_point_counts(p, k, expected):
     assert C.point_count(p, k) == expected
     assert brute_force_count(p, k) == expected
     if k == 2:
         assert expected == C.expected_quadratic_count(p)
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_point_count_tests_each_nonzero_image_value_once(count_calls, p):
+    # the image of x^p - x is {0} in F_p and the line F_p L(z) in F_{p^2}
+    sqrt_calls = count_calls(ff, "sqrt")
+    assert C.point_count(p, 1) == p + 1
+    assert sqrt_calls[0] == 0
+    assert C.point_count(p, 2) == C.expected_quadratic_count(p)
+    assert sqrt_calls[0] == p - 1
 
 
 def test_points_are_on_curve_and_distinct():

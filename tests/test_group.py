@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from roquette import ff
 from roquette.group import RoquetteGroup, get_group
 
 
@@ -34,6 +35,17 @@ def element_order_by_walking(G, g):
     while acc != G.identity:
         acc, n = G.mul(acc, g), n + 1
     return n
+
+
+def sqrt_group_by_squaring(G):
+    """All lam in F_{p^2} with lam^2 in F_p^x, by squaring every element of
+    F_{p^2}; the oracle for sqrt_group_elements."""
+    out = []
+    for e in G.fp2.elements():
+        sq = e * e
+        if sq.coeffs[1] == 0 and sq.coeffs[0] != 0:
+            out.append(e)
+    return out
 
 
 def centralizer_order_by_gl2(G, g):
@@ -192,6 +204,14 @@ def test_sqrt_group(p):
             n += 1
         orders.append(n)
     assert max(orders) == 2 * (p - 1)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if ff.is_prime(p)])
+def test_sqrt_group_matches_squaring_oracle(p):
+    G = RoquetteGroup(p)
+    roots = [r.coeffs for r in G.sqrt_group_elements()]
+    assert len(roots) == len(set(roots))
+    assert set(roots) == {r.coeffs for r in sqrt_group_by_squaring(G)}
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

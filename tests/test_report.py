@@ -12,9 +12,9 @@ import pytest
 
 import roquette
 from roquette import character as CH
-from roquette import curve, jacobian, series
+from roquette import curve, ff, jacobian, series
 from roquette import report as R
-from roquette.cli import main
+from roquette.cli import build_parser, main
 from roquette.group import RoquetteGroup, get_group
 from roquette.report import (PipelineOptions, UsageError, emit, final_verdict,
                              run_pipeline, select_ells)
@@ -163,9 +163,11 @@ def test_classes_p29_operation_counts(fresh_groups, count_calls, mul_calls):
     # the class search and the group checks, and the wild series (the
     # witness is skipped)
     series_muls = count_calls(series.TruncatedSeries, "__mul__")
+    sqrt_calls = count_calls(ff, "sqrt")
     assert run_pipeline(29, PipelineOptions(max_prime=29)).exit_code == 0
     assert mul_calls[0] <= 296_824
     assert series_muls[0] <= 648
+    assert sqrt_calls[0] <= 85
 
 
 def test_pipeline_memory_stays_below_the_group_size(fresh_groups):
@@ -360,6 +362,12 @@ def test_quadratic_count_enumerated_once(monkeypatch):
     assert calls.count((5, 2)) == 1
     assert rep.blocks["hasse_weil"] == {"count": 6, "gap": 20, "expected_gap": 20,
                                         "epsilon": 1, "sharp": True}
+
+
+def test_prime_help_states_the_default_maximum():
+    # no flag sets max_prime, so the help names the default bound
+    text = " ".join(build_parser().format_help().split())
+    assert f"the prime p (5 <= p <= {PipelineOptions().max_prime})" in text
 
 
 def test_usage_errors(capsys):
