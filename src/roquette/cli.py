@@ -34,10 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--ell", type=str, default=None,
                     help="comma-separated odd primes for the torsion witness "
                          "(default: automatic selection)")
-    ap.add_argument("--ell-bound", type=int, default=10_000,
-                    help="largest allowed full-torsion size ell^(2g) (default 10000)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for the torsion-basis sampling (default 0)")
+    ap.add_argument("--ell-bound", type=int, default=PipelineOptions.ell_bound,
+                    help="largest allowed full-torsion size ell^(2g) "
+                         f"(default {PipelineOptions.ell_bound})")
+    ap.add_argument("--seed", type=int, default=PipelineOptions.seed,
+                    help=f"seed for the torsion-basis sampling (default {PipelineOptions.seed})")
     ap.add_argument("--format", choices=("json", "markdown"), default="markdown")
     ap.add_argument("--out", type=str, default=None,
                     help="write the report to this path instead of stdout")

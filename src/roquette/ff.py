@@ -396,14 +396,15 @@ def make_field(p: int, k: int) -> FieldDescriptor:
 # ---------------------------------------------------------------------------
 
 def _nonresidue(field: FieldDescriptor) -> FieldElement:
+    """The field's first non-residue by Euler's criterion among z + c,
+    c in F_p (c alone when k = 1), then the whole field in lexicographic
+    order.  z + c is a square exactly when its norm +-f(-c) is one in F_p,
+    f the modulus, and that varies with c; the walk alone would start with
+    the p elements c * z^(k-1), all of one character when k is even."""
     if field._nonresidue is None:
-        e = (field.order - 1) // 2
-        for cand in field.elements():
-            if cand.is_zero():
-                continue
-            if (cand ** e).coeffs != field.one().coeffs:
-                field._nonresidue = cand
-                break
+        e, one, z = (field.order - 1) // 2, field.one(), field.gen()
+        candidates = itertools.chain((z + c for c in range(field.p)), field.elements())
+        field._nonresidue = next(a for a in candidates if not a.is_zero() and a ** e != one)
     return field._nonresidue
 
 

@@ -1,9 +1,12 @@
 """Divisor-class arithmetic on the Jacobian of y^2 = x^p - x and the
 finite-level realization of the group action on ell-torsion.
 
-Divisor classes are reduced Mumford pairs (u, v): u monic of degree at
-most the genus, v of smaller degree, with v^2 = x^p - x mod u.  The group
-law is Cantor composition and reduction; the identity is (1, 0).
+A divisor class is the plain pair (u, v) of `Poly`s of its reduced
+Mumford form: u monic of degree at most the genus, v of smaller degree,
+with v^2 = x^p - x mod u.  Reduced forms are unique, so pairs compare and
+hash as classes, and the torsion table is keyed by them.  The group law is
+Cantor composition and reduction; the identity is (1, 0), the one class
+with deg u = 0.
 
 Over F_q = F_{p^(2m)} Frobenius acts on the Jacobian as the scalar
 (eps*p)^m, eps = curve.frobenius_sign(p): so J(F_q) = J[N] for
@@ -38,38 +41,6 @@ def jacobian_order(p: int, m: int) -> int:
     return (1 - (curve.frobenius_sign(p) * p) ** m) ** g2
 
 
-class MumfordDivisor:
-    """A reduced divisor class (u, v) over a fixed field."""
-
-    __slots__ = ("field", "u", "v", "_key")
-
-    def __init__(self, field: FieldDescriptor, u: Poly, v: Poly):
-        self.field = field
-        self.u = u
-        self.v = v
-        self._key = (tuple(c.coeffs for c in u.coeffs),
-                     tuple(c.coeffs for c in v.coeffs))
-
-    def key(self):
-        return self._key
-
-    def degree(self) -> int:
-        return self.u.degree()
-
-    def is_zero(self) -> bool:
-        return self.u.degree() == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, MumfordDivisor)
-                and self.field == other.field and self._key == other._key)
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"D(u={self.u!r}, v={self.v!r})"
-
-
 class CurveJacobian:
     """Cantor arithmetic on the Jacobian over one coefficient field."""
 
@@ -84,39 +55,38 @@ class CurveJacobian:
         coeffs[p] = 1
         self.f = Poly.from_ints(field, coeffs)  # x^p - x
 
-    def zero(self) -> MumfordDivisor:
-        return MumfordDivisor(self.field, Poly.one(self.field), Poly.zero(self.field))
+    def zero(self) -> tuple:
+        return Poly.one(self.field), Poly.zero(self.field)
 
-    def from_point(self, x, y) -> MumfordDivisor:
+    def from_point(self, x, y) -> tuple:
         """The class of (x, y) - inf."""
         if x.field != self.field:
             raise ValueError("point lies over a different field")
         if y * y != self.f.evaluate(x):
             raise ValueError("point is not on the curve")
-        u = Poly(self.field, (-x, self.field.one()))
-        v = Poly(self.field, (y,))
-        return MumfordDivisor(self.field, u, v)
+        return Poly(self.field, (-x, self.field.one())), Poly(self.field, (y,))
 
-    def is_valid(self, D: MumfordDivisor) -> bool:
-        du = D.u.degree()
+    def is_valid(self, D: tuple) -> bool:
+        u, v = D
+        du = u.degree()
         if du < 0 or du > self.genus:
             return False
-        if D.u.leading() != self.field.one():
+        if u.leading() != self.field.one():
             return False
         if du == 0:
-            return D.v.is_zero()
-        if D.v.degree() >= du:
+            return v.is_zero()
+        if v.degree() >= du:
             return False
-        return ((D.v * D.v - self.f) % D.u).is_zero()
+        return ((v * v - self.f) % u).is_zero()
 
-    def neg(self, D: MumfordDivisor) -> MumfordDivisor:
-        return MumfordDivisor(self.field, D.u, (-D.v) % D.u)
+    def neg(self, D: tuple) -> tuple:
+        u, v = D
+        return u, (-v) % u
 
-    def add(self, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-        if D1.field != self.field or D2.field != self.field:
+    def add(self, D1: tuple, D2: tuple) -> tuple:
+        (u1, v1), (u2, v2) = D1, D2
+        if u1.field != self.field or u2.field != self.field:
             raise ValueError("divisors live over a different field")
-        u1, v1 = D1.u, D1.v
-        u2, v2 = D2.u, D2.v
         # composition
         d1, e1, e2 = u1.xgcd(u2)
         d, c1, c2 = d1.xgcd(v1 + v2)
@@ -129,14 +99,14 @@ class CurveJacobian:
             u = (self.f - v * v).exact_div(u)
             u = u.monic()
             v = (-v) % u
-        return MumfordDivisor(self.field, u, v % u)
+        return u, v % u
 
-    def scalar_mul(self, n: int, D: MumfordDivisor) -> MumfordDivisor:
+    def scalar_mul(self, n: int, D: tuple) -> tuple:
         if n < 0:
             return self.scalar_mul(-n, self.neg(D))
         return ff.power(D, n, self.add, self.zero())
 
-    def random_divisor(self, rng: random.Random) -> MumfordDivisor:
+    def random_divisor(self, rng: random.Random) -> tuple:
         """Sum of genus random points, assembled from random x-coordinates."""
         acc = self.zero()
         picked = 0
@@ -172,7 +142,7 @@ def _substitute(f: Poly, num: Poly, den: Poly, e: int) -> Poly:
     return acc
 
 
-def act_on_class(group: RoquetteGroup, g, D: MumfordDivisor) -> MumfordDivisor:
+def act_on_class(group: RoquetteGroup, g, D: tuple) -> tuple:
     """Image of the divisor class D under the automorphism g, in D's field.
 
     With g = (a, b, c, d, lam) the inverse Mobius map is X -> num/den for
@@ -185,19 +155,21 @@ def act_on_class(group: RoquetteGroup, g, D: MumfordDivisor) -> MumfordDivisor:
     once when deg(u) is odd.
     """
     p = group.p
-    field = D.field
+    u, v = D
+    field = u.field
     lam = curve.lambda_in(g, field)
-    if D.is_zero():
+    deg = u.degree()
+    if deg == 0:
         return D
     jac = CurveJacobian(field, p)
     a, b, c, d = (field.element(x) for x in g[:4])
     num = Poly(field, (-b, d))
     den = Poly(field, (a, -c))
     half = (p + 1) // 2
-    u = _substitute(D.u, num, den, D.degree()).monic()
+    u = _substitute(u, num, den, deg).monic()
     scale = lam * ((a * d - b * c) ** half).inverse()
-    out = MumfordDivisor(field, u, _substitute(D.v, num, den, half).scale(scale) % u)
-    if not c.is_zero() and D.degree() % 2:
+    out = u, _substitute(v, num, den, half).scale(scale) % u
+    if not c.is_zero() and deg % 2:
         out = jac.add(out, jac.from_point(a / c, field.zero()))
     if not jac.is_valid(out):
         raise RuntimeError("image is not a valid reduced divisor; "
@@ -221,10 +193,10 @@ class TorsionBasis:
     """
     ell: int
     m: int
-    field: FieldDescriptor
+    jacobian: CurveJacobian  # over the field F_{p^(2m)} of the classes
     jacobian_order: int
     basis: tuple
-    table: dict  # divisor key -> coordinates along basis[:-1], mod ell
+    table: dict  # (u, v) -> coordinates along basis[:-1], mod ell
     giant_steps: tuple
 
     @property
@@ -233,11 +205,10 @@ class TorsionBasis:
         the span of the vectors before it."""
         return self.ell ** len(self.basis)
 
-    def coordinates(self, E: MumfordDivisor) -> tuple:
+    def coordinates(self, E: tuple) -> tuple:
         """Coordinates of E in the basis, at most ell - 1 Cantor additions."""
-        jac = CurveJacobian(self.field, self.field.p)
         for c, step in enumerate(self.giant_steps):
-            vec = self.table.get((jac.add(E, step) if c else E).key())
+            vec = self.table.get(self.jacobian.add(E, step) if c else E)
             if vec is not None:
                 return vec + (c,)
         raise RuntimeError("image of a torsion class left the span; "
@@ -269,13 +240,11 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     frob = curve.frobenius_sign(p) * p
     # the order of eps*p mod ell, a divisor of ell - 1 as ell != p
     m = ff.multiplicative_order(ell - 1, lambda e: pow(frob, e, ell) == 1)
-    field = make_field(p, 2 * m)
     cofactor = abs(frob ** m - 1) // ell  # N/ell; ell | N by the choice of m
-    jac = CurveJacobian(field, p)
+    jac = CurveJacobian(make_field(p, 2 * m), p)
     rng = random.Random(seed * 1_000_003 + ell)
     zero = jac.zero()
-    entries = [(zero, (0,) * (g2 - 1))]  # the table's classes and coordinates
-    table = {zero.key(): entries[0][1]}
+    table = {zero: (0,) * (g2 - 1)}
     basis: list = []
     attempts = 0
     while len(basis) < g2:
@@ -284,9 +253,9 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
             raise RuntimeError("torsion basis search did not converge")
         D = jac.random_divisor(rng)
         E = jac.scalar_mul(cofactor, D)
-        if E.key() in table:
+        if E in table:
             continue
-        if not jac.scalar_mul(ell, E).is_zero():
+        if jac.scalar_mul(ell, E) != zero:
             raise RuntimeError(
                 f"(N/ell) * D is not killed by ell = {ell}; "
                 "J(F_q) is not J[N] as computed")
@@ -295,12 +264,11 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
             break
         # extend the table by E: ell - 1 translates of the table so far
         idx = len(basis) - 1
-        layer = entries
+        layer = list(table.items())
         for c in range(1, ell):
             layer = [(jac.add(S, E), vec[:idx] + (c,) + vec[idx + 1:])
                      for S, vec in layer]
-            table.update((S.key(), vec) for S, vec in layer)
-            entries = entries + layer
+            table.update(layer)
     if len(table) != ell ** (g2 - 1):
         raise RuntimeError(
             f"table has {len(table)} classes, expected {ell ** (g2 - 1)}")
@@ -308,7 +276,7 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     giant_steps = [zero, back]
     while len(giant_steps) < ell:
         giant_steps.append(jac.add(giant_steps[-1], back))
-    return TorsionBasis(ell=ell, m=m, field=field,
+    return TorsionBasis(ell=ell, m=m, jacobian=jac,
                         jacobian_order=jacobian_order(p, m),
                         basis=tuple(basis), table=table,
                         giant_steps=tuple(giant_steps))

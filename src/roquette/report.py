@@ -22,6 +22,7 @@ listed, never recomputed.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -108,6 +109,14 @@ def _json_num(v):
             return int(v)
         return [v.numerator, v.denominator]
     return v
+
+
+def _first_mismatch(expected, found) -> dict:
+    """The first class where two class functions differ, as a failed
+    check's witness {"class", "expected", "found"}; {} when they agree."""
+    return next(({"class": i, "expected": e, "found": f}
+                 for i, (e, f) in enumerate(itertools.zip_longest(expected, found))
+                 if e != f), {})
 
 
 def select_ells(p: int, bound: int) -> tuple:
@@ -274,10 +283,8 @@ def _character_stage(run: _Run) -> None:
     run.mark("char_faithful", not unfaithful,
              "the character kernel is trivial: the action on cohomology is faithful",
              kernel_size=sum(classes[i].size for i in kernel), **unfaithful)
-    negated = ((i, -v, chi[G.class_of(G.mul(c.rep, G.involution))])
-               for i, (c, v) in enumerate(zip(classes, chi)))
-    sign_witness = next(({"class": i, "expected": e, "found": f}
-                         for i, e, f in negated if e != f), {})
+    sign_witness = _first_mismatch(
+        [-v for v in chi], [chi[G.class_of(G.mul(c.rep, G.involution))] for c in classes])
     run.mark("char_sign_rule", not sign_witness,
              "multiplying by the central involution negates every character value",
              **sign_witness)
@@ -303,17 +310,17 @@ def _witness_stage(run: _Run, ell: int) -> None:
     basis = jacobian.torsion_basis(run.G, ell, seed=run.options.seed,
                                    bound=run.options.ell_bound)
     traces = run.traces[ell] = jacobian.rho_ell_traces(run.G, basis)
-    congruent = all((cv - tv) % ell == 0
-                    for cv, tv in zip(run.chi, traces))
+    witness = _first_mismatch([v % ell for v in run.chi], [t % ell for t in traces])
     entry = {"ell": ell, "m": basis.m, "field_degree": 2 * basis.m,
              "jacobian_order": basis.jacobian_order, "basis_size": len(basis.basis),
              "span": basis.span_size, "traces": list(traces),
-             "congruent": congruent}
-    run.mark(f"ell_witness_{ell}", congruent,
+             "congruent": not witness}
+    run.mark(f"ell_witness_{ell}", not witness,
              f"the torsion representation mod {ell} (basis spanning "
              f"{basis.span_size} classes over the degree-{2 * basis.m} "
              f"extension) has per-class traces congruent to the cohomology character",
-             **{k: v for k, v in entry.items() if k not in ("basis_size", "congruent")})
+             **{k: v for k, v in entry.items() if k not in ("basis_size", "congruent")},
+             **witness)
     entries.append(entry)
 
 
@@ -329,13 +336,14 @@ def _crt_stage(run: _Run) -> None:
     p, traces, moduli = run.p, run.traces, sorted(run.traces)
     if traces and math.prod(traces) > 2 * (p - 1):
         rec = jacobian.crt_reconstruct(p, traces)
-        run.mark("crt_reconstruction", rec == run.chi,
+        witness = _first_mismatch(run.chi, rec)
+        run.mark("crt_reconstruction", not witness,
                  "the integer class function recombined from all torsion traces "
                  "equals the cohomology character exactly",
-                 reconstructed=list(rec))
+                 reconstructed=list(rec), **witness)
         run.blocks["crt"] = {"status": "computed", "moduli": moduli,
                              "values": list(rec),
-                             "equals_character": rec == run.chi}
+                             "equals_character": not witness}
     elif traces:
         run.mark("crt_reconstruction", None,
                  "reconstruction skipped (bound): the available moduli product "
@@ -486,7 +494,11 @@ def _emit_markdown(report: VerificationReport) -> bytes:
         lines.append(f"- Frobenius-Schur indicator: {b['character']['fs_indicator']};"
                      f" norm: {b['character']['inner_product']}")
     lines += ["", "## Checks", ""]
-    lines += [f"- {_STATUS_MARK[c.status]} `{c.name}` - {c.claim}" for c in report.checks]
+    for c in report.checks:
+        lines.append(f"- {_STATUS_MARK[c.status]} `{c.name}` - {c.claim}")
+        if c.status == "fail" and "class" in c.data:
+            lines.append(f"  - first mismatch at class {c.data['class']}: expected"
+                         f" {c.data['expected']}, found {c.data['found']}")
     lines += ["", "## Standard theory cited by the verdict (not recomputed)", ""]
     lines += [f"- {s}" for s in CITED_INFERENCES] + [""]
     if report.timings is not None:

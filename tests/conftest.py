@@ -53,8 +53,7 @@ def enumerate_reduced(jac) -> list:
                     c0 = tuple((a - b) % field.p
                                for a, b in zip(mul(v0, v0), t0))
                     if c0 == fr0:
-                        out.append(jacobian.MumfordDivisor(
-                            field, u, Poly(field, (v0e, v1e))))
+                        out.append((u, Poly(field, (v0e, v1e))))
     return out
 
 

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 GROUP, REPORT = "src/roquette/group.py", "src/roquette/report.py"
+CLI = "src/roquette/cli.py"
 CURVE, FF = "src/roquette/curve.py", "src/roquette/ff.py"
 JACOBIAN, SERIES = "src/roquette/jacobian.py", "src/roquette/series.py"
 TWICE = "tests/test_report.py::test_a_matrix_enumerated_twice_fails_the_count_checks"
@@ -184,13 +185,18 @@ MUTANTS = (
            "return min(r, -r, key=lambda e: e.coeffs)", "return r",
            ("tests/test_ff.py::test_sqrt_matches_exhaustive_oracle",),
            "the canonical root is the lexicographically smaller of +-r"),
+    Mutant("nonresidue-walk-only", FF,
+           "candidates = itertools.chain((z + c for c in range(field.p)), field.elements())",
+           "candidates = field.elements()",
+           ("tests/test_ff.py::test_nonresidue_comes_from_the_first_candidates",),
+           "z + c comes before the walk, whose first p elements share one character at even k"),
     Mutant("sqrt-group-one-root-per-det", GROUP,
            "for r in self._det_roots[v]]", "for r in self._det_roots[v][:1]]",
            ("tests/test_group.py::test_sqrt_group",),
            "each v in F_p^x has two square roots in F_{p^2}"),
     # the divisor action in the class's own field
     Mutant("action-without-weierstrass-add", JACOBIAN,
-           "if not c.is_zero() and D.degree() % 2:", "if False:",
+           "if not c.is_zero() and deg % 2:", "if False:",
            (ACTION,), "an odd-degree class picks up g(inf) - inf, a Weierstrass point"),
     Mutant("action-wrong-det-exponent", JACOBIAN,
            "((a * d - b * c) ** half)", "((a * d - b * c) ** (half - 1))",
@@ -214,13 +220,22 @@ MUTANTS = (
            ("tests/test_jacobian.py::test_torsion_witness_p7_ell3",),
            "Frobenius acts as eps*p, and eps = -1 at p = 7"),
     Mutant("torsion-without-ell-guard", JACOBIAN,
-           "if not jac.scalar_mul(ell, E).is_zero():", "if False:",
+           "if jac.scalar_mul(ell, E) != zero:", "if False:",
            ("tests/test_jacobian.py::test_torsion_basis_rejects_a_sample_ell_does_not_kill",),
            "a wrong N passes the table-size check"),
     Mutant("torsion-table-takes-last-vector", JACOBIAN,
            "        if len(basis) == g2:\n            break\n", "",
            ("tests/test_jacobian.py::test_torsion_basis_ell3",),
            "the table spans all but the last vector"),
+    Mutant("torsion-table-keyed-by-u", JACOBIAN,
+           "            table.update(layer)\n",
+           "            table.update((S[0], vec) for S, vec in layer)\n",
+           ("tests/test_jacobian.py::test_torsion_basis_ell3",),
+           "a class is the pair (u, v): D and -D share u"),
+    Mutant("is-valid-without-curve-equation", JACOBIAN,
+           "return ((v * v - self.f) % u).is_zero()", "return True",
+           ("tests/test_jacobian.py::test_mumford_validation",),
+           "a reduced pair has v^2 = f mod u"),
     Mutant("giant-steps-forward", JACOBIAN,
            "back = jac.neg(basis[-1])", "back = basis[-1]",
            (SPAN,), "E - c b_last lies in the table for the last coordinate c"),
@@ -231,6 +246,18 @@ MUTANTS = (
     Mutant("coordinates-last-off-by-one", JACOBIAN,
            "return vec + (c,)", "return vec + (c + 1,)",
            (SPAN,), "the giant step index is the last coordinate"),
+    # the witness a failed per-class check names
+    Mutant("first-mismatch-is-the-last", REPORT,
+           "for i, (e, f) in enumerate(itertools.zip_longest(expected, found))",
+           "for i, (e, f) in reversed(list(enumerate(itertools.zip_longest(expected, found))))",
+           ("tests/test_report.py::test_ell_witness_fails_alone_and_names_its_class",
+            "tests/test_report.py::test_crt_fails_alone_and_names_its_class",
+            "tests/test_report.py::test_failed_character_checks_carry_their_witnesses"),
+           "the witness is the first class in class order that differs"),
+    Mutant("first-mismatch-class-off-by-one", REPORT,
+           '{"class": i, "expected": e', '{"class": i + 1, "expected": e',
+           ("tests/test_report.py::test_sign_rule_fails_alone_and_names_its_class",),
+           "the witness names the class index itself"),
     # the verdict and the facts it rests on
     Mutant("verdict-ignores-failures", REPORT,
            '"obstructed" if witnessed and not any_failures else',
@@ -254,6 +281,10 @@ MUTANTS = (
            'run.mark("hasse_weil_sharp",', 'run.mark("hasse_weil_bound",',
            ("tests/test_report.py::test_check_names_and_order",),
            "readers of the report, the benchmark too, find checks by name"),
+    Mutant("cli-seed-default-literal", CLI,
+           "default=PipelineOptions.seed,", "default=0,",
+           ("tests/test_report.py::test_cli_defaults_come_from_the_pipeline_options",),
+           "the CLI takes its defaults from PipelineOptions"),
     Mutant("series-gives-up-at-user-precision", SERIES,
            "if prec >= default:", "if True:",
            ("tests/test_series.py::test_wild_multiplicity_gives_up_at_the_default_precision",),

@@ -91,8 +91,8 @@ def test_criterion_5_ell_independence(group5, torsion3, torsion7,
                                       traces3, traces7):
     t0 = time.monotonic()
     chi = CH.lefschetz_character(group5)
-    ok = torsion3.span_size == 81 and torsion3.field == make_field(5, 4)
-    ok = ok and torsion7.span_size == 2401 and torsion7.field == make_field(5, 12)
+    ok = torsion3.span_size == 81 and torsion3.jacobian.field == make_field(5, 4)
+    ok = ok and torsion7.span_size == 2401 and torsion7.jacobian.field == make_field(5, 12)
     for ell, traces in ((3, traces3), (7, traces7)):
         ok = ok and all((cv - tv) % ell == 0
                         for cv, tv in zip(chi, traces))
@@ -110,7 +110,7 @@ def test_criterion_6_jacobian_oracle(classes_f25):
     rng = random.Random(2024)
     for _ in range(100):
         D = jac4.random_divisor(rng)
-        ok = ok and jac4.scalar_mul(n, D).is_zero()
+        ok = ok and jac4.scalar_mul(n, D) == jac4.zero()
     _report("C6 jacobian order oracle", ok, f"#J(F_25) = {count}")
 
 
@@ -160,7 +160,7 @@ def test_criterion_8_property_suites():
     for _ in range(10):
         D1, D2 = jac.random_divisor(rng), jac.random_divisor(rng)
         ok = ok and jac.add(D1, D2) == jac.add(D2, D1)
-        ok = ok and jac.add(D1, jac.neg(D1)).is_zero()
+        ok = ok and jac.add(D1, jac.neg(D1)) == jac.zero()
     # determinism of JSON output
     a = emit(run_pipeline(5, PipelineOptions(ell=(3,), seed=5)), "json")
     b = emit(run_pipeline(5, PipelineOptions(ell=(3,), seed=5)), "json")

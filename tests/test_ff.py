@@ -356,6 +356,36 @@ def test_sqrt_matches_exhaustive_oracle(p, k):
     assert count == (p ** k + 1) // 2  # squares incl. zero
 
 
+def _is_nonresidue(a):
+    return a ** ((a.field.order - 1) // 2) == -a.field.one()
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (5, 2), (7, 2), (5, 3), (5, 4),
+                                 (17, 2), (1009, 2), (5, 12)])
+def test_nonresidue_comes_from_the_first_candidates(p, k):
+    # z + c for c in F_p (c alone over F_p) is tried before the field walk
+    field = make_field(p, k)
+    z = ff._nonresidue(field)
+    assert _is_nonresidue(z)
+    assert z - field.gen() in {field.element(c) for c in range(p)}
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (17, 1), (5, 2), (7, 2), (5, 3), (17, 2)])
+def test_sqrt_does_not_depend_on_the_nonresidue(p, k, monkeypatch):
+    # Tonelli-Shanks under the field's non-residue and under the last one in
+    # lexicographic order give the same canonical root of every element
+    field = make_field(p, k)
+    first = ff._nonresidue(field)
+    last = next(a for a in reversed(list(field.elements())) if _is_nonresidue(a))
+    assert first != last
+    roots = []
+    for z in (first, last):
+        monkeypatch.setattr(field, "_nonresidue", z)
+        roots.append([ff.sqrt(a) for a in field.elements()])
+    assert roots[0] == roots[1]
+    assert all(r is None or r * r == a for r, a in zip(roots[0], field.elements()))
+
+
 def test_sqrt_tonelli_shanks_large_field():
     field = make_field(5, 8)
     rng = random.Random(3)

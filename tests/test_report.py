@@ -236,6 +236,70 @@ def test_failed_character_checks_carry_their_witnesses(monkeypatch):
         "class": first, "expected": -values[first], "found": values[other]}
 
 
+def _fails_alone(report, name) -> dict:
+    """The data of check `name`, which must be the one failed check besides
+    the verdict; the markdown report must print its witness under it."""
+    assert [c.name for c in report.failed] == [name, "verdict_obstructed"]
+    data = report.failed[0].data
+    text = emit(report, "markdown").decode()
+    assert (f"`{name}` - {report.failed[0].claim}\n  - first mismatch at class "
+            f"{data['class']}: expected {data['expected']}, found {data['found']}\n") in text
+    return data
+
+
+def test_sign_rule_fails_alone_and_names_its_class(monkeypatch):
+    # the partner of the order-p class under the involution is looked up as
+    # the identity's class; no other check asks for that element's class
+    G = get_group(5)
+    chi = CH.lefschetz_character(G)
+    k, one = G.class_of(G.unipotent()), G.class_of(G.identity)
+    partner = G.mul(G.conjugacy_classes[k].rep, G.involution)
+    real = RoquetteGroup.class_of
+    monkeypatch.setattr(RoquetteGroup, "class_of",
+                        lambda self, g: one if g == partner else real(self, g))
+    data = _fails_alone(run_pipeline(5, OPTS_FAST), "char_sign_rule")
+    assert data == {"class": k, "expected": -chi[k], "found": chi[one]}
+
+
+def test_ell_witness_fails_alone_and_names_its_class(monkeypatch):
+    # two traces off by one mod 3: the witness is the first of the two
+    G = get_group(5)
+    chi = CH.lefschetz_character(G)
+    i, j = sorted((G.class_of(G.unipotent()), len(chi) - 1))
+    real = jacobian.rho_ell_traces
+
+    def shifted(group, basis):
+        traces = list(real(group, basis))
+        for c in (i, j):
+            traces[c] = (traces[c] + 1) % basis.ell
+        return tuple(traces)
+    monkeypatch.setattr(jacobian, "rho_ell_traces", shifted)
+    report = run_pipeline(5, OPTS_FAST)  # one ell: crt is skipped
+    data = _fails_alone(report, "ell_witness_3")
+    assert (data["class"], data["expected"], data["found"]) == (
+        i, chi[i] % 3, (chi[i] + 1) % 3)
+    assert report.blocks["ell_witness"][0]["congruent"] is False
+
+
+def test_crt_fails_alone_and_names_its_class(monkeypatch):
+    # the recombined values are changed at two classes after the fact; the
+    # traces stay congruent, so no witness check fails
+    G = get_group(5)
+    chi = CH.lefschetz_character(G)
+    i, j = sorted((G.class_of(G.involution), len(chi) - 1))
+    real = jacobian.crt_reconstruct
+
+    def off(p, traces):
+        rec = list(real(p, traces))
+        rec[i], rec[j] = rec[i] + 21, rec[j] - 21
+        return tuple(rec)
+    monkeypatch.setattr(jacobian, "crt_reconstruct", off)
+    report = run_pipeline(5, PipelineOptions(ell=(3, 7)))
+    data = _fails_alone(report, "crt_reconstruction")
+    assert (data["class"], data["expected"], data["found"]) == (i, chi[i], chi[i] + 21)
+    assert report.blocks["crt"]["equals_character"] is False
+
+
 def test_every_check_carries_claim_and_status(report5):
     for c in report5.checks:
         assert c.status in ("pass", "fail", "skipped")
@@ -368,6 +432,22 @@ def test_prime_help_states_the_default_maximum():
     # no flag sets max_prime, so the help names the default bound
     text = " ".join(build_parser().format_help().split())
     assert f"the prime p (5 <= p <= {PipelineOptions().max_prime})" in text
+
+
+def test_cli_defaults_come_from_the_pipeline_options(monkeypatch):
+    # --ell-bound and --seed take their defaults and the help its numbers
+    # from PipelineOptions, so changing the defaults there changes both
+    def parsed():
+        ap = build_parser()
+        return ap.parse_args(["--prime", "5"]), " ".join(ap.format_help().split())
+    ns, text = parsed()
+    assert (ns.ell_bound, ns.seed) == (PipelineOptions().ell_bound, PipelineOptions().seed)
+    assert "ell^(2g) (default 10000)" in text and "sampling (default 0)" in text
+    monkeypatch.setattr(PipelineOptions, "ell_bound", 777)
+    monkeypatch.setattr(PipelineOptions, "seed", 5)
+    ns, text = parsed()
+    assert (ns.ell_bound, ns.seed) == (777, 5)
+    assert "ell^(2g) (default 777)" in text and "sampling (default 5)" in text
 
 
 def test_usage_errors(capsys):
