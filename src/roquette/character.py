@@ -31,11 +31,11 @@ def lefschetz_character(group: RoquetteGroup,
                         precision: int | None = None) -> tuple:
     """The H^1 character: chi(1) = p-1 and chi(g) = 2 - L(g) otherwise."""
     vals = []
-    for cls in group.conjugacy_classes:
-        if cls.rep == group.identity:
+    for rep, _ in group.conjugacy_classes:
+        if rep == group.identity:
             vals.append(group.p - 1)
         else:
-            vals.append(2 - curve.fixed_scheme_degree(group, cls.rep, precision))
+            vals.append(2 - curve.fixed_scheme_degree(group, rep, precision))
     return tuple(vals)
 
 
@@ -44,8 +44,8 @@ def inner_product(group: RoquetteGroup, f1: tuple, f2: tuple) -> Fraction:
     if not len(f1) == len(f2) == len(group.conjugacy_classes):
         raise ValueError("class functions live on different class lists")
     total = 0
-    for cls, v1, v2 in zip(group.conjugacy_classes, f1, f2):
-        total += cls.size * v1 * v2
+    for (_, size), v1, v2 in zip(group.conjugacy_classes, f1, f2):
+        total += size * v1 * v2
     return Fraction(total, group.order)
 
 
@@ -80,8 +80,8 @@ def fs_indicator(group: RoquetteGroup, chi: tuple) -> Fraction:
     Squares of conjugates are conjugate, so the sum is taken over classes:
     sum of |C| * chi(rep^2), one multiplication per class.
     """
-    total = sum(cls.size * chi[group.class_of(group.mul(cls.rep, cls.rep))]
-                for cls in group.conjugacy_classes)
+    total = sum(size * chi[group.class_of(group.mul(rep, rep))]
+                for rep, size in group.conjugacy_classes)
     return Fraction(total, group.order)
 
 

@@ -89,7 +89,7 @@ def main(argv: list | None = None) -> int:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
     for check in report.failed:
-        print(f"FAILED: {check.name}: {check.claim}", file=sys.stderr)
+        print(f"FAILED: {check['name']}: {check['claim']}", file=sys.stderr)
     return report.exit_code
 
 

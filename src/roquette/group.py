@@ -31,18 +31,11 @@ from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass
 
 from . import ff
 from .ff import make_field
 
 GroupElement = tuple  # (a, b, c, d, l0, l1), ints mod p
-
-
-@dataclass(frozen=True)
-class ConjClass:
-    rep: GroupElement
-    size: int
 
 
 class RoquetteGroup:
@@ -184,7 +177,7 @@ class RoquetteGroup:
 
     @property
     def conjugacy_classes(self) -> tuple:
-        """The conjugacy classes, each as the orbit of its representative.
+        """The conjugacy classes as (rep, size) pairs, each the orbit of rep.
 
         A class is filled by breadth-first search of its representative's
         orbit under x -> s x s^(-1) for s among the three conjugators of
@@ -276,7 +269,7 @@ class RoquetteGroup:
                 raise RuntimeError(
                     f"the orbit of {h} has {len(orbit)} elements, "
                     f"but its class has {size}")
-            classes.append(ConjClass(rep=h, size=size))
+            classes.append((h, size))
         return tuple(classes), (n, image.count(1), tuple(kernel)), table
 
     def class_of(self, g: GroupElement) -> int:
@@ -287,20 +280,6 @@ class RoquetteGroup:
                 or (l0, l1) not in self._det_roots.get((a * d - b * c) % self.p, ())):
             raise ValueError(f"{g} is not a canonical group element")
         return self._class_search[2][self._slot(g)] - 1
-
-    # -- distinguished subgroups -----------------------------------------------------------
-
-    def sylow_p_subgroup(self) -> tuple:
-        """The cyclic group of order p generated by the unipotent element."""
-        u = self.unipotent()
-        out = [self.identity]
-        cur = u
-        while cur != self.identity:
-            out.append(cur)
-            cur = self.mul(cur, u)
-        if len(out) != self.p:
-            raise RuntimeError("unipotent subgroup has wrong order")
-        return tuple(out)
 
     # -- wild elements ------------------------------------------------------------------------
 

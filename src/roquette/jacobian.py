@@ -297,8 +297,8 @@ def mat_trace(A, ell: int) -> int:
 def rho_ell_traces(group: RoquetteGroup, basis: TorsionBasis) -> tuple:
     """Per-class traces mod ell of the torsion representation, in class order."""
     vals = []
-    for cls in group.conjugacy_classes:
-        M = rep_matrix(group, cls.rep, basis)
+    for rep, _ in group.conjugacy_classes:
+        M = rep_matrix(group, rep, basis)
         vals.append(mat_trace(M, basis.ell))
     return tuple(vals)
 

@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -68,29 +68,17 @@ class PipelineOptions:
 
 
 @dataclass
-class Check:
-    name: str
-    status: str          # "pass" | "fail" | "skipped"
-    claim: str
-    data: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "claim": self.claim, "data": self.data}
-
-
-@dataclass
 class VerificationReport:
     prime: int
     options: PipelineOptions
     blocks: dict         # name in BLOCKS -> block, for the stages that completed
-    checks: list
+    checks: list         # {"name", "status", "claim", "data"}, as the JSON lists them
     verdict: dict
     timings: dict | None
 
     @property
     def failed(self) -> list:
-        return [c for c in self.checks if c.status == "fail"]
+        return [c for c in self.checks if c["status"] == "fail"]
 
     @property
     def exit_code(self) -> int:
@@ -165,7 +153,7 @@ class _Run:
     def mark(self, name, ok, claim, **data):
         """Record a check: passed, failed, or skipped when ok is None."""
         status = "skipped" if ok is None else "pass" if ok else "fail"
-        self.checks.append(Check(name, status, claim, data))
+        self.checks.append({"name": name, "status": status, "claim": claim, "data": data})
         return ok
 
 
@@ -202,22 +190,22 @@ def _group_stage(run: _Run) -> None:
              "the projective action is onto PGL_2(F_p) with kernel {1, involution}",
              kernel_size=len(ker), image_size=image_size,
              expected_image=p * (p * p - 1))
-    run.class_orders = [G.element_order(c.rep) for c in classes]
+    run.class_orders = [G.element_order(rep) for rep, _ in classes]
     stats: dict = {}
-    for c, n in zip(classes, run.class_orders):
-        stats[n] = stats.get(n, 0) + c.size
-    order_p_classes = [c for c, n in zip(classes, run.class_orders)
-                       if G.is_wild(c.rep) and n == p]
-    sylow = G.sylow_p_subgroup()
+    for (_, size), n in zip(classes, run.class_orders):
+        stats[n] = stats.get(n, 0) + size
+    order_p_sizes = [size for (rep, size), n in zip(classes, run.class_orders)
+                     if G.is_wild(rep) and n == p]
+    sylow_order = run.class_orders[G.class_of(G.unipotent())]
     run.mark("sylow_unipotent",
-             len(sylow) == p and stats.get(p, 0) == p * p - 1
-             and len(order_p_classes) == 1 and order_p_classes[0].size == p * p - 1,
+             sylow_order == p and stats.get(p, 0) == p * p - 1
+             and order_p_sizes == [p * p - 1],
              f"the unipotent subgroup has order p and all {p * p - 1} order-p elements are conjugate",
-             sylow_order=len(sylow), order_p_elements=stats.get(p, 0),
-             order_p_classes=len(order_p_classes))
+             sylow_order=sylow_order, order_p_elements=stats.get(p, 0),
+             order_p_classes=len(order_p_sizes))
     run.blocks["group"] = {
         "order": n_elements, "class_count": len(classes),
-        "class_sizes": [c.size for c in classes],
+        "class_sizes": [size for _, size in classes],
         "order_statistics": {str(k): v for k, v in sorted(stats.items())}}
 
 
@@ -282,24 +270,24 @@ def _character_stage(run: _Run) -> None:
     unfaithful = {} if kernel == [id_idx] else {"kernel_classes": kernel}
     run.mark("char_faithful", not unfaithful,
              "the character kernel is trivial: the action on cohomology is faithful",
-             kernel_size=sum(classes[i].size for i in kernel), **unfaithful)
+             kernel_size=sum(classes[i][1] for i in kernel), **unfaithful)
     sign_witness = _first_mismatch(
-        [-v for v in chi], [chi[G.class_of(G.mul(c.rep, G.involution))] for c in classes])
+        [-v for v in chi], [chi[G.class_of(G.mul(rep, G.involution))] for rep, _ in classes])
     run.mark("char_sign_rule", not sign_witness,
              "multiplying by the central involution negates every character value",
              **sign_witness)
     wild_ok, wild_data = True, {}
-    for c in classes:
-        if G.is_wild(c.rep):
-            sign = G.wild_sign(c.rep)
-            L = curve.fixed_scheme_degree(G, c.rep, run.options.series_precision)
+    for rep, _ in classes:
+        if G.is_wild(rep):
+            sign = G.wild_sign(rep)
+            L = curve.fixed_scheme_degree(G, rep, run.options.series_precision)
             wild_data[f"sign_{sign:+d}"] = L
             wild_ok = wild_ok and (L == 3 if sign == 1 else L == 1)
     run.mark("wild_multiplicities", wild_ok and len(wild_data) == 2,
              "wild fixed points carry multiplicity 3 (order p) and 1 (order 2p)",
              **wild_data)
     run.blocks["character"] = {
-        "values": list(chi), "class_sizes": [c.size for c in classes],
+        "values": list(chi), "class_sizes": [size for _, size in classes],
         "class_orders": run.class_orders, "inner_product": _json_num(ip),
         "fs_indicator": _json_num(nu),
         "sylow_multiplicities": [_json_num(triv_mult), _json_num(nontriv_mult)]}
@@ -422,7 +410,7 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         finally:
             timings[stage.name] = time.monotonic() - t0
     verdict = final_verdict(run.integral, run.norm, run.fs,
-                            any(c.status == "fail" for c in run.checks))
+                            any(c["status"] == "fail" for c in run.checks))
     run.mark("verdict_obstructed", verdict["lifts"] == "obstructed",
              "all prerequisites hold: Schur index 2 is witnessed and the "
              "quotient construction cannot lift to characteristic 0",
@@ -463,7 +451,7 @@ def _emit_json(report: VerificationReport) -> bytes:
             "series_precision": o.series_precision,
         },
         **{name: report.blocks.get(name) for name in BLOCKS},
-        "checks": [c.as_dict() for c in report.checks],
+        "checks": report.checks,
         "verdict": report.verdict,
         "cited_inferences": CITED_INFERENCES,
         "timings": report.timings,
@@ -495,10 +483,10 @@ def _emit_markdown(report: VerificationReport) -> bytes:
                      f" norm: {b['character']['inner_product']}")
     lines += ["", "## Checks", ""]
     for c in report.checks:
-        lines.append(f"- {_STATUS_MARK[c.status]} `{c.name}` - {c.claim}")
-        if c.status == "fail" and "class" in c.data:
-            lines.append(f"  - first mismatch at class {c.data['class']}: expected"
-                         f" {c.data['expected']}, found {c.data['found']}")
+        lines.append(f"- {_STATUS_MARK[c['status']]} `{c['name']}` - {c['claim']}")
+        if c["status"] == "fail" and "class" in c["data"]:
+            lines.append("  - first mismatch at class {class}: expected {expected},"
+                         " found {found}".format(**c["data"]))
     lines += ["", "## Standard theory cited by the verdict (not recomputed)", ""]
     lines += [f"- {s}" for s in CITED_INFERENCES] + [""]
     if report.timings is not None:

@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("pyproject.toml", "src", "tests")
+# BENCHMARK.json and perfbench/ are read by tests/test_benchmark_contract.py
+COPIED = ("pyproject.toml", "src", "tests", "BENCHMARK.json", "perfbench")
 
 
 class Mutant(NamedTuple):
@@ -55,6 +56,7 @@ FIXED = "tests/test_curve.py::test_fixed_points_really_are_fixed"
 FERMAT = "tests/test_ff.py::test_inverse_matches_fermat_oracle"
 PACKED = "tests/test_ff.py::test_packed_product_matches_schoolbook_oracle"
 ACTION = "tests/test_jacobian.py::test_act_on_class_split_support_oracle"
+ALL_PASS = "tests/test_report.py::test_all_checks_pass_at_p5"
 SPAN = "tests/test_jacobian.py::test_coordinates_match_full_span_oracle"
 
 MUTANTS = (
@@ -274,13 +276,32 @@ MUTANTS = (
            ("tests/test_report.py::test_verdict_facts_computed_once",),
            "the verdict takes the indicator its check computed"),
     Mutant("order-statistics-count-classes", REPORT,
-           "stats[n] = stats.get(n, 0) + c.size", "stats[n] = stats.get(n, 0) + 1",
-           ("tests/test_report.py::test_all_checks_pass_at_p5",),
-           "the order statistics count elements"),
+           "stats[n] = stats.get(n, 0) + size", "stats[n] = stats.get(n, 0) + 1",
+           (ALL_PASS,), "the order statistics count elements"),
+    Mutant("sylow-order-of-the-identity-class", REPORT,
+           "sylow_order = run.class_orders[G.class_of(G.unipotent())]",
+           "sylow_order = run.class_orders[G.class_of(G.identity)]",
+           ("tests/test_report.py::test_sylow_order_is_read_from_the_unipotent_class", ALL_PASS),
+           "the Sylow order is the order of the unipotent's class"),
+    Mutant("char-degree-at-the-involution", REPORT,
+           'run.mark("char_degree", chi[id_idx] == p - 1,',
+           'run.mark("char_degree", chi[G.class_of(G.involution)] == p - 1,',
+           (ALL_PASS,), "the degree is chi at the identity's class"),
+    Mutant("failed-includes-skipped", REPORT,
+           'return [c for c in self.checks if c["status"] == "fail"]',
+           'return [c for c in self.checks if c["status"] != "pass"]',
+           (ALL_PASS, "tests/test_report.py::test_skip_reason_at_scale"),
+           "a skipped check is not a failure and keeps exit status 0"),
     Mutant("check-renamed", REPORT,
            'run.mark("hasse_weil_sharp",', 'run.mark("hasse_weil_bound",',
            ("tests/test_report.py::test_check_names_and_order",),
            "readers of the report, the benchmark too, find checks by name"),
+    # the names the benchmark resolves in src/
+    Mutant("group-elements-renamed", GROUP,
+           "    def elements(self) -> tuple:", "    def all_elements(self) -> tuple:",
+           ("tests/test_benchmark_contract.py::test_every_traced_entry_point_resolves",
+            "tests/test_benchmark_contract.py::test_every_micro_probe_runs"),
+           "perfbench traces and times RoquetteGroup.elements by name"),
     Mutant("cli-seed-default-literal", CLI,
            "default=PipelineOptions.seed,", "default=0,",
            ("tests/test_report.py::test_cli_defaults_come_from_the_pipeline_options",),

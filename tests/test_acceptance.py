@@ -81,8 +81,8 @@ def test_criterion_4_wild_multiplicities():
             ok = ok and S.wild_translation_multiplicity(p, u, -1) == 1
         G = get_group(p)
         chi = CH.lefschetz_character(G)
-        for i, cls in enumerate(G.conjugacy_classes):
-            j = G.class_of(G.mul(cls.rep, G.involution))
+        for i, (rep, _) in enumerate(G.conjugacy_classes):
+            j = G.class_of(G.mul(rep, G.involution))
             ok = ok and chi[j] == -chi[i]
     _report("C4 wild multiplicities and sign rule", ok)
 

@@ -336,7 +336,7 @@ def test_witness_cantor_additions_at_p5(fresh_groups, count_calls, mul_calls):
     assert report.exit_code == 0
     assert adds[0] <= 683
     assert actions[0] <= 96
-    assert mul_calls[0] <= 1_854
+    assert mul_calls[0] <= 1_850
 
 
 def test_torsion_rejects_bad_ell(group5):

@@ -30,7 +30,7 @@ def report5():
 
 def test_all_checks_pass_at_p5(report5):
     assert report5.failed == []
-    statuses = {c.name: c.status for c in report5.checks}
+    statuses = {c["name"]: c["status"] for c in report5.checks}
     assert statuses["group_order"] == "pass"
     assert statuses["ell_witness_3"] == "pass"
     assert statuses["crt_reconstruction"] == "skipped"  # product 3 < 2(p-1)
@@ -48,7 +48,7 @@ BASE_CHECKS = [
 
 
 def test_check_names_and_order(report5):
-    assert [c.name for c in report5.checks] == BASE_CHECKS + [
+    assert [c["name"] for c in report5.checks] == BASE_CHECKS + [
         "ell_witness_3", "crt_reconstruction", "verdict_obstructed"]
 
 
@@ -62,12 +62,12 @@ def test_witness_failure_becomes_a_failed_check(monkeypatch):
 
     monkeypatch.setattr(jacobian, "torsion_basis", fails_at_7)
     report = run_pipeline(5)
-    assert [c.name for c in report.checks] == BASE_CHECKS + [
+    assert [c["name"] for c in report.checks] == BASE_CHECKS + [
         "ell_witness_3", "ell_witness_7", "crt_reconstruction", "verdict_obstructed"]
-    statuses = {c.name: c.status for c in report.checks}
+    statuses = {c["name"]: c["status"] for c in report.checks}
     assert statuses["ell_witness_3"] == "pass"
-    assert [c.name for c in report.failed] == ["ell_witness_7", "verdict_obstructed"]
-    assert report.failed[0].data == {
+    assert [c["name"] for c in report.failed] == ["ell_witness_7", "verdict_obstructed"]
+    assert report.failed[0]["data"] == {
         "ell": 7, "error": "torsion basis search did not converge"}
     # the failed ell stays out of the witness block and the CRT
     assert [w["ell"] for w in report.blocks["ell_witness"]] == [3]
@@ -138,7 +138,7 @@ def test_a_matrix_enumerated_twice_fails_the_count_checks(fresh_groups, monkeypa
                 yield mat
     monkeypatch.setattr(RoquetteGroup, "_canonical_matrices", second_twice)
     report = run_pipeline(5, OPTS_FAST)
-    failed = {c.name: c.data for c in report.failed}
+    failed = {c["name"]: c["data"] for c in report.failed}
     assert failed["group_order"]["counted"] == 242
     assert failed["pgl_projection"]["image_size"] == 120
     assert failed["pgl_projection"]["kernel_size"] == 2
@@ -165,7 +165,7 @@ def test_classes_p29_operation_counts(fresh_groups, count_calls, mul_calls):
     series_muls = count_calls(series.TruncatedSeries, "__mul__")
     sqrt_calls = count_calls(ff, "sqrt")
     assert run_pipeline(29, PipelineOptions(max_prime=29)).exit_code == 0
-    assert mul_calls[0] <= 296_824
+    assert mul_calls[0] <= 296_796
     assert series_muls[0] <= 648
     assert sqrt_calls[0] <= 85
 
@@ -222,27 +222,42 @@ def test_failed_character_checks_carry_their_witnesses(monkeypatch):
     values[k] = values[G.class_of(G.identity)]
     monkeypatch.setattr(CH, "lefschetz_character",
                         lambda group, precision=None: tuple(values))
-    checks = {c.name: c for c in run_pipeline(5, OPTS_FAST).checks}
-    assert checks["char_faithful"].status == "fail"
-    assert checks["char_faithful"].data == {
-        "kernel_size": 1 + G.conjugacy_classes[k].size,
+    checks = {c["name"]: c for c in run_pipeline(5, OPTS_FAST).checks}
+    assert checks["char_faithful"]["status"] == "fail"
+    assert checks["char_faithful"]["data"] == {
+        "kernel_size": 1 + G.conjugacy_classes[k][1],
         "kernel_classes": sorted([G.class_of(G.identity), k])}
     # the first class in class order whose partner under the involution is
     # not its negative is k or that partner, whichever comes first
-    j = G.class_of(G.mul(G.conjugacy_classes[k].rep, G.involution))
+    j = G.class_of(G.mul(G.conjugacy_classes[k][0], G.involution))
     first, other = min(k, j), max(k, j)
-    assert checks["char_sign_rule"].status == "fail"
-    assert checks["char_sign_rule"].data == {
+    assert checks["char_sign_rule"]["status"] == "fail"
+    assert checks["char_sign_rule"]["data"] == {
         "class": first, "expected": -values[first], "found": values[other]}
+
+
+def test_sylow_order_is_read_from_the_unipotent_class(monkeypatch):
+    # element_order misreports the order of the unipotent's class as 2p;
+    # no other check reads the class orders, so sylow_unipotent fails alone
+    # and reports the order it was given
+    G = get_group(5)
+    k, real = G.class_of(G.unipotent()), RoquetteGroup.element_order
+    monkeypatch.setattr(RoquetteGroup, "element_order",
+                        lambda self, g: 10 if self.class_of(g) == k else real(self, g))
+    report = run_pipeline(5, OPTS_FAST)
+    assert [c["name"] for c in report.failed] == ["sylow_unipotent", "verdict_obstructed"]
+    assert report.failed[0]["data"] == {
+        "sylow_order": 10, "order_p_elements": 0, "order_p_classes": 0}
+    assert report.blocks["character"]["class_orders"][k] == 10
 
 
 def _fails_alone(report, name) -> dict:
     """The data of check `name`, which must be the one failed check besides
     the verdict; the markdown report must print its witness under it."""
-    assert [c.name for c in report.failed] == [name, "verdict_obstructed"]
-    data = report.failed[0].data
+    assert [c["name"] for c in report.failed] == [name, "verdict_obstructed"]
+    data = report.failed[0]["data"]
     text = emit(report, "markdown").decode()
-    assert (f"`{name}` - {report.failed[0].claim}\n  - first mismatch at class "
+    assert (f"`{name}` - {report.failed[0]['claim']}\n  - first mismatch at class "
             f"{data['class']}: expected {data['expected']}, found {data['found']}\n") in text
     return data
 
@@ -253,7 +268,7 @@ def test_sign_rule_fails_alone_and_names_its_class(monkeypatch):
     G = get_group(5)
     chi = CH.lefschetz_character(G)
     k, one = G.class_of(G.unipotent()), G.class_of(G.identity)
-    partner = G.mul(G.conjugacy_classes[k].rep, G.involution)
+    partner = G.mul(G.conjugacy_classes[k][0], G.involution)
     real = RoquetteGroup.class_of
     monkeypatch.setattr(RoquetteGroup, "class_of",
                         lambda self, g: one if g == partner else real(self, g))
@@ -302,8 +317,9 @@ def test_crt_fails_alone_and_names_its_class(monkeypatch):
 
 def test_every_check_carries_claim_and_status(report5):
     for c in report5.checks:
-        assert c.status in ("pass", "fail", "skipped")
-        assert isinstance(c.claim, str) and c.claim
+        assert list(c) == ["name", "status", "claim", "data"]
+        assert c["status"] in ("pass", "fail", "skipped")
+        assert isinstance(c["claim"], str) and c["claim"]
 
 
 def test_json_round_trip(report5):
@@ -372,7 +388,7 @@ def test_markdown_checklist(report5):
     text = emit(report5, "markdown").decode()
     assert "does not lift to characteristic 0" in text
     for c in report5.checks:
-        assert f"`{c.name}`" in text
+        assert f"`{c['name']}`" in text
     # one status mark per check line
     marks = [line for line in text.splitlines() if line.startswith("- ")
              and "`" in line]
@@ -515,9 +531,9 @@ def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
 
 def test_skip_reason_at_scale():
     report = run_pipeline(11, PipelineOptions())
-    skip = next(c for c in report.checks if c.name == "ell_witness")
-    assert skip.status == "skipped"
-    assert "scale" in skip.claim
+    skip = next(c for c in report.checks if c["name"] == "ell_witness")
+    assert skip["status"] == "skipped"
+    assert "scale" in skip["claim"]
     assert report.verdict["lifts"] == "obstructed"
     assert report.exit_code == 0
 
@@ -527,8 +543,8 @@ def test_wide_prime_range_obstructed(p):
     report = run_pipeline(p)
     assert report.blocks["character"]["inner_product"] == 1
     assert report.blocks["character"]["fs_indicator"] == -1
-    skip = next(c for c in report.checks if c.name == "ell_witness")
-    assert skip.status == "skipped" and "scale" in skip.claim
+    skip = next(c for c in report.checks if c["name"] == "ell_witness")
+    assert skip["status"] == "skipped" and "scale" in skip["claim"]
     assert report.failed == []
     assert report.verdict["lifts"] == "obstructed"
 
@@ -583,10 +599,10 @@ def test_fault_injection_every_check(report5):
     # flipping each individual pass to fail must drop the exit status
     import copy
     for i, c in enumerate(report5.checks):
-        if c.status != "pass":
+        if c["status"] != "pass":
             continue
         mutated = copy.deepcopy(report5)
-        mutated.checks[i].status = "fail"
+        mutated.checks[i]["status"] = "fail"
         assert mutated.exit_code == 1
 
 

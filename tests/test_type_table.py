@@ -22,15 +22,15 @@ def _order(p: int) -> int:
 def test_classes_and_character_match_the_type_table(p):
     G = get_group(p)
     chi = CH.lefschetz_character(G)
-    found = Counter((T.class_type(p, c.rep), v, c.size)
-                    for c, v in zip(G.conjugacy_classes, chi))
+    found = Counter((T.class_type(p, rep), v, size)
+                    for (rep, size), v in zip(G.conjugacy_classes, chi))
     expected = Counter({(kind, v, size): count
                         for (kind, v), (size, count) in T.table(p).items() if count})
     assert found == expected
     assert len(G.conjugacy_classes) == (2 * p + 2 if p % 4 == 1 else 2 * p + 4)
     square = T.square_chi(p)
-    for c in G.conjugacy_classes:
-        assert chi[G.class_of(G.mul(c.rep, c.rep))] == square[T.class_type(p, c.rep)], c.rep
+    for rep, _ in G.conjugacy_classes:
+        assert chi[G.class_of(G.mul(rep, rep))] == square[T.class_type(p, rep)], rep
 
 
 @pytest.mark.parametrize("r", [1, 3])
