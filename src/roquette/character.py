@@ -5,9 +5,10 @@ The character is assembled from fixed-point data: the value at a
 nonidentity class is 2 minus the total multiplicity of the fixed-point
 scheme of any representative, and the value at the identity is 2g = p-1.
 A class function is a plain tuple of values, one per conjugacy class in
-the order of group.conjugacy_classes.  All downstream arithmetic (inner
-products, restriction multiplicities, the Frobenius-Schur indicator) is
-done in exact rationals.
+the order of group.conjugacy_classes.  The quotients downstream (inner
+products, restriction multiplicities, the Frobenius-Schur indicator) are
+exact: an int when the division comes out even, else the reduced pair
+[numerator, denominator], the form the JSON report writes.
 
 These functions compute the facts the verdict rests on: an irreducible
 character with integer values and Frobenius-Schur indicator -1 belongs to
@@ -21,10 +22,19 @@ report.final_verdict, from the values the report's checks computed here.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from . import curve
 from .group import RoquetteGroup
+
+
+def exact_quotient(n, d: int) -> int | list:
+    """n / d for an int or Fraction n and an int d > 0: an int when d
+    divides n, else the reduced pair [numerator, denominator]."""
+    num, den = n.numerator, n.denominator * d
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return num if den == 1 else [num, den]
 
 
 def lefschetz_character(group: RoquetteGroup,
@@ -39,14 +49,14 @@ def lefschetz_character(group: RoquetteGroup,
     return tuple(vals)
 
 
-def inner_product(group: RoquetteGroup, f1: tuple, f2: tuple) -> Fraction:
+def inner_product(group: RoquetteGroup, f1: tuple, f2: tuple) -> int | list:
     """(1/|G|) sum over classes of size * f1 * f2 (real-valued characters)."""
     if not len(f1) == len(f2) == len(group.conjugacy_classes):
         raise ValueError("class functions live on different class lists")
     total = 0
     for (_, size), v1, v2 in zip(group.conjugacy_classes, f1, f2):
         total += size * v1 * v2
-    return Fraction(total, group.order)
+    return exact_quotient(total, group.order)
 
 
 def order_p_value(group: RoquetteGroup, chi: tuple):
@@ -55,8 +65,7 @@ def order_p_value(group: RoquetteGroup, chi: tuple):
     return chi[group.class_of(u)]
 
 
-def sylow_restriction(group: RoquetteGroup,
-                      chi: tuple) -> tuple[Fraction, Fraction]:
+def sylow_restriction(group: RoquetteGroup, chi: tuple) -> tuple:
     """Multiplicities (trivial, each nontrivial) of the restriction to the
     order-p subgroup.
 
@@ -71,10 +80,10 @@ def sylow_restriction(group: RoquetteGroup,
     p = group.p
     chi1 = chi[group.class_of(group.identity)]
     n = order_p_value(group, chi)
-    return (Fraction(chi1 + (p - 1) * n, p), Fraction(chi1 - n, p))
+    return exact_quotient(chi1 + (p - 1) * n, p), exact_quotient(chi1 - n, p)
 
 
-def fs_indicator(group: RoquetteGroup, chi: tuple) -> Fraction:
+def fs_indicator(group: RoquetteGroup, chi: tuple) -> int | list:
     """Frobenius-Schur indicator (1/|G|) sum of chi(g^2) over the group.
 
     Squares of conjugates are conjugate, so the sum is taken over classes:
@@ -82,7 +91,7 @@ def fs_indicator(group: RoquetteGroup, chi: tuple) -> Fraction:
     """
     total = sum(size * chi[group.class_of(group.mul(rep, rep))]
                 for rep, size in group.conjugacy_classes)
-    return Fraction(total, group.order)
+    return exact_quotient(total, group.order)
 
 
 def kernel_of_character(group: RoquetteGroup, chi: tuple) -> list:

@@ -25,20 +25,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = PipelineOptions()
     ap = _Parser(
         prog="verify",
         description="Verify the lifting obstruction carried by the curve "
                     "y^2 = x^p - x for a concrete prime p.")
     ap.add_argument("--prime", type=int, required=True,
-                    help=f"the prime p (5 <= p <= {PipelineOptions.max_prime})")
+                    help=f"the prime p (5 <= p <= {defaults.max_prime})")
     ap.add_argument("--ell", type=str, default=None,
                     help="comma-separated odd primes for the torsion witness "
                          "(default: automatic selection)")
-    ap.add_argument("--ell-bound", type=int, default=PipelineOptions.ell_bound,
+    ap.add_argument("--ell-bound", type=int, default=defaults.ell_bound,
                     help="largest allowed full-torsion size ell^(2g) "
-                         f"(default {PipelineOptions.ell_bound})")
-    ap.add_argument("--seed", type=int, default=PipelineOptions.seed,
-                    help=f"seed for the torsion-basis sampling (default {PipelineOptions.seed})")
+                         f"(default {defaults.ell_bound})")
+    ap.add_argument("--seed", type=int, default=defaults.seed,
+                    help=f"seed for the torsion-basis sampling (default {defaults.seed})")
     ap.add_argument("--format", choices=("json", "markdown"), default="markdown")
     ap.add_argument("--out", type=str, default=None,
                     help="write the report to this path instead of stdout")

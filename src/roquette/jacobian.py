@@ -25,7 +25,7 @@ most one Cantor addition, because g(inf) is a Weierstrass point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import curve, ff
 from .ff import FieldDescriptor, make_field
@@ -181,23 +181,19 @@ def act_on_class(group: RoquetteGroup, g, D: tuple) -> tuple:
 # ell-torsion bases and representation matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorsionBasis:
+class TorsionBasis(namedtuple(
+        "TorsionBasis", "ell m jacobian jacobian_order basis table giant_steps")):
     """A basis of the full ell-torsion with its discrete-log table.
 
-    `table` maps each of the ell^(2g-1) classes in the span of basis[:-1]
-    to its coordinates there, and giant_steps[c] = -c * basis[-1] for
-    c = 0 .. ell-1.  As basis[-1] has order ell and lies outside that
-    span, a class E of the full span meets the table at E + giant_steps[c]
-    for exactly one c, which is its last coordinate.
+    `jacobian` is the CurveJacobian over the field F_{p^(2m)} of the
+    classes.  `table` maps each of the ell^(2g-1) classes (u, v) in the
+    span of basis[:-1] to its coordinates there, mod ell, and
+    giant_steps[c] = -c * basis[-1] for c = 0 .. ell-1.  As basis[-1] has
+    order ell and lies outside that span, a class E of the full span meets
+    the table at E + giant_steps[c] for exactly one c, which is its last
+    coordinate.
     """
-    ell: int
-    m: int
-    jacobian: CurveJacobian  # over the field F_{p^(2m)} of the classes
-    jacobian_order: int
-    basis: tuple
-    table: dict  # (u, v) -> coordinates along basis[:-1], mod ell
-    giant_steps: tuple
+    __slots__ = ()
 
     @property
     def span_size(self) -> int:

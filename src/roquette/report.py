@@ -27,9 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import __version__, character, curve, jacobian
 from .ff import is_prime, multiplicative_order
@@ -57,24 +55,17 @@ CITED_INFERENCES = [
 ]
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    ell: tuple | None = None          # None = automatic selection
-    ell_bound: int = 10_000
-    seed: int = 0
-    series_precision: int | None = None
-    max_prime: int = 31
-    include_timings: bool = False
+# ell None selects the ells automatically; series_precision None is 2p+4
+PipelineOptions = namedtuple(
+    "PipelineOptions", "ell ell_bound seed series_precision max_prime include_timings",
+    defaults=(None, 10_000, 0, None, 31, False))
 
 
-@dataclass
-class VerificationReport:
-    prime: int
-    options: PipelineOptions
-    blocks: dict         # name in BLOCKS -> block, for the stages that completed
-    checks: list         # {"name", "status", "claim", "data"}, as the JSON lists them
-    verdict: dict
-    timings: dict | None
+# blocks: name in BLOCKS -> block, for the stages that completed;
+# checks: {"name", "status", "claim", "data"}, as the JSON lists them
+class VerificationReport(namedtuple(
+        "VerificationReport", "prime options blocks checks verdict timings")):
+    __slots__ = ()
 
     @property
     def failed(self) -> list:
@@ -89,14 +80,6 @@ class VerificationReport:
 
 class UsageError(ValueError):
     """Bad or infeasible pipeline input; maps to exit code 2."""
-
-
-def _json_num(v):
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return [v.numerator, v.denominator]
-    return v
 
 
 def _first_mismatch(expected, found) -> dict:
@@ -118,8 +101,8 @@ def select_ells(p: int, bound: int) -> tuple:
     return tuple(out)
 
 
-def final_verdict(integer_valued: bool | None, norm: Fraction | None,
-                  fs_indicator: Fraction | None, any_failures: bool) -> dict:
+def final_verdict(integer_valued: bool | None, norm: int | list | None,
+                  fs_indicator: int | list | None, any_failures: bool) -> dict:
     """Decide the obstruction from the facts the checks computed.
 
     An integer-valued character of norm 1 with Frobenius-Schur indicator
@@ -133,7 +116,7 @@ def final_verdict(integer_valued: bool | None, norm: Fraction | None,
     return {
         "integer_valued": integer_valued,
         "irreducible": None if norm is None else norm == 1,
-        "fs_indicator": _json_num(fs_indicator),
+        "fs_indicator": fs_indicator,
         "schur_index_witness": 2 if witnessed else None,
         "rationality_class_nontrivial": witnessed if known else None,
         "lifts": "obstructed" if witnessed and not any_failures else "not determined",
@@ -157,12 +140,9 @@ class _Run:
         return ok
 
 
-class _Stage(NamedTuple):
-    name: str
-    run: Callable[[_Run], None]
-    failure: str        # the claim of the failed check when run raises
-    data: dict = {}     # the rest of that check's data
-    fatal: bool = True  # a failure ends the run
+# run: a function of one _Run; failure: the claim of the failed check when
+# run raises, data: the rest of that check's data; fatal: a failure ends the run
+_Stage = namedtuple("_Stage", "name run failure data fatal", defaults=({}, True))
 
 
 def _group_stage(run: _Run) -> None:
@@ -255,17 +235,17 @@ def _character_stage(run: _Run) -> None:
     ip = run.norm = character.inner_product(G, chi, chi)
     run.mark("char_irreducible", ip == 1,
              "the character has norm 1, hence is absolutely irreducible",
-             inner_product=_json_num(ip))
+             inner_product=ip)
     triv_mult, nontriv_mult = character.sylow_restriction(G, chi)
     run.mark("sylow_multiplicities", (triv_mult, nontriv_mult) == (0, 1),
              "restricted to the order-p subgroup: trivial character 0 times, every "
              "nontrivial once (closed form, using that the nontrivial values of a "
              "character of a cyclic group of order p sum to -1)",
-             trivial=_json_num(triv_mult), nontrivial=_json_num(nontriv_mult))
+             trivial=triv_mult, nontrivial=nontriv_mult)
     nu = run.fs = character.fs_indicator(G, chi)
     run.mark("fs_indicator", nu == -1,
              "the Frobenius-Schur indicator is -1: the representation is quaternionic",
-             value=_json_num(nu))
+             value=nu)
     kernel = character.kernel_of_character(G, chi)
     unfaithful = {} if kernel == [id_idx] else {"kernel_classes": kernel}
     run.mark("char_faithful", not unfaithful,
@@ -288,9 +268,8 @@ def _character_stage(run: _Run) -> None:
              **wild_data)
     run.blocks["character"] = {
         "values": list(chi), "class_sizes": [size for _, size in classes],
-        "class_orders": run.class_orders, "inner_product": _json_num(ip),
-        "fs_indicator": _json_num(nu),
-        "sylow_multiplicities": [_json_num(triv_mult), _json_num(nontriv_mult)]}
+        "class_orders": run.class_orders, "inner_product": ip,
+        "fs_indicator": nu, "sylow_multiplicities": [triv_mult, nontriv_mult]}
 
 
 def _witness_stage(run: _Run, ell: int) -> None:

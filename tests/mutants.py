@@ -46,7 +46,7 @@ class Mutant(NamedTuple):
 
 
 GROUP, REPORT = "src/roquette/group.py", "src/roquette/report.py"
-CLI = "src/roquette/cli.py"
+CLI, CHARACTER = "src/roquette/cli.py", "src/roquette/character.py"
 CURVE, FF = "src/roquette/curve.py", "src/roquette/ff.py"
 JACOBIAN, SERIES = "src/roquette/jacobian.py", "src/roquette/series.py"
 TWICE = "tests/test_report.py::test_a_matrix_enumerated_twice_fails_the_count_checks"
@@ -266,6 +266,15 @@ MUTANTS = (
            '"obstructed" if witnessed else',
            ("tests/test_report.py::test_verdict_monotone_under_fault_injection",),
            "any failed check blocks the verdict"),
+    Mutant("quotient-floors", CHARACTER,
+           "    return num if den == 1 else [num, den]", "    return num // den",
+           ("tests/test_character.py::test_exact_quotient",
+            "tests/test_character.py::test_verdict_non_integer_character"),
+           "a quotient that does not come out even is a [num, den] pair"),
+    Mutant("quotient-unreduced", CHARACTER,
+           "    g = math.gcd(num, den)", "    g = 1",
+           ("tests/test_character.py::test_exact_quotient",),
+           "an even quotient is an int and a pair is in lowest terms"),
     Mutant("verdict-without-indicator", REPORT,
            "and norm == 1 and fs_indicator == -1", "and norm == 1",
            ("tests/test_report.py::test_verdict_monotone_under_fault_injection",),
@@ -303,7 +312,7 @@ MUTANTS = (
             "tests/test_benchmark_contract.py::test_every_micro_probe_runs"),
            "perfbench traces and times RoquetteGroup.elements by name"),
     Mutant("cli-seed-default-literal", CLI,
-           "default=PipelineOptions.seed,", "default=0,",
+           "default=defaults.seed,", "default=0,",
            ("tests/test_report.py::test_cli_defaults_come_from_the_pipeline_options",),
            "the CLI takes its defaults from PipelineOptions"),
     Mutant("series-gives-up-at-user-precision", SERIES,

@@ -45,6 +45,15 @@ def test_benchmark_workload_passes_its_known_answer_check(name):
     assert WORKLOADS.check_report(emit(report, "json"), wl, 0) == []
 
 
+@pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_options_build(name, seed):
+    # the call perfbench/child.py makes, at the seeds a claim is confirmed at
+    kwargs = WORKLOADS.WORKLOADS[name].options(seed)
+    options = PipelineOptions(**kwargs)
+    assert options._asdict() == kwargs
+
+
 @pytest.mark.parametrize("module,path", [
     (module, path)
     for module, path, _ in TRACING.SPAN_POINTS + TRACING.COUNT_POINTS + TRACING.GROUP_MUL_POINTS

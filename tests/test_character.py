@@ -117,6 +117,18 @@ def test_fs_indicator(p):
     assert nu in (Fraction(-1), Fraction(0), Fraction(1))
 
 
+def test_exact_quotient():
+    assert CH.exact_quotient(-12, 4) == -3
+    assert type(CH.exact_quotient(-12, 4)) is int
+    assert CH.exact_quotient(6, 8) == [3, 4]       # reduced
+    assert CH.exact_quotient(-3, 6) == [-1, 2]
+    assert CH.exact_quotient(0, 7) == 0
+    # a class function of Fractions sums to a Fraction
+    assert CH.exact_quotient(Fraction(3, 2), 9) == [1, 6]
+    assert CH.exact_quotient(Fraction(10, 3), 5) == [2, 3]
+    assert CH.exact_quotient(Fraction(9, 3), 3) == 1
+
+
 def test_fs_indicator_brute_force_oracle(group5, chi5):
     # direct sum over all 240 elements without the class bucketing
     G = group5

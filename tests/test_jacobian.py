@@ -1,7 +1,6 @@
 """Jacobian arithmetic, torsion bases, representation matrices, and the
 trace congruences that realize independence-of-ell at finite level."""
 
-import dataclasses
 import itertools
 import random
 
@@ -299,7 +298,7 @@ def test_class_missing_from_the_table_left_the_span(group5, torsion3):
     minus_b0 = tb.jacobian.neg(tb.basis[0])
     table = dict(tb.table)
     del table[minus_b0]
-    broken = dataclasses.replace(tb, table=table)
+    broken = tb._replace(table=table)
     with pytest.raises(RuntimeError, match="left the span"):
         J.rep_matrix(group5, group5.involution, broken)
 

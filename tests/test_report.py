@@ -444,6 +444,31 @@ def test_quadratic_count_enumerated_once(monkeypatch):
                                         "epsilon": 1, "sharp": True}
 
 
+def test_pipeline_options_fields_and_defaults():
+    assert PipelineOptions._fields == ("ell", "ell_bound", "seed", "series_precision",
+                                       "max_prime", "include_timings")
+    assert tuple(PipelineOptions()) == (None, 10_000, 0, None, 31, False)
+    with pytest.raises(TypeError):
+        PipelineOptions(prime=5)
+    options = PipelineOptions(seed=3)
+    with pytest.raises(AttributeError):
+        options.seed = 4
+    assert options.seed == 3
+
+
+def test_import_loads_no_class_or_rational_machinery():
+    # roquette builds its records from collections.namedtuple and its
+    # quotients from character.exact_quotient, so a bare interpreter that
+    # imports it loads none of these
+    heavy = ("dataclasses", "fractions", "decimal", "inspect", "ast", "typing")
+    src = str(Path(roquette.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import roquette; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
+
+
 def test_prime_help_states_the_default_maximum():
     # no flag sets max_prime, so the help names the default bound
     text = " ".join(build_parser().format_help().split())
