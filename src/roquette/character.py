@@ -37,15 +37,14 @@ def exact_quotient(n, d: int) -> int | list:
     return num if den == 1 else [num, den]
 
 
-def lefschetz_character(group: RoquetteGroup,
-                        precision: int | None = None) -> tuple:
+def lefschetz_character(group: RoquetteGroup) -> tuple:
     """The H^1 character: chi(1) = p-1 and chi(g) = 2 - L(g) otherwise."""
     vals = []
     for rep, _ in group.conjugacy_classes:
         if rep == group.identity:
             vals.append(group.p - 1)
         else:
-            vals.append(2 - curve.fixed_scheme_degree(group, rep, precision))
+            vals.append(2 - curve.fixed_scheme_degree(group, rep))
     return tuple(vals)
 
 

@@ -1,8 +1,7 @@
 """Command-line entry point.
 
     verify --prime 5 [--ell 3,7] [--ell-bound N] [--seed S]
-           [--format json|markdown] [--out PATH] [--precision N]
-           [--timings]
+           [--format json|markdown] [--out PATH] [--timings]
 
 Exit codes: 0 when every check passes and the verdict is "obstructed",
 1 when a check fails (a stage that raises is a failed check), 2 on usage
@@ -43,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "markdown"), default="markdown")
     ap.add_argument("--out", type=str, default=None,
                     help="write the report to this path instead of stdout")
-    ap.add_argument("--precision", type=int, default=None,
-                    help="series precision for wild multiplicities, 2 to 2p+4 (default 2p+4)")
     ap.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-determinism)")
     return ap
@@ -64,7 +61,6 @@ def main(argv: list | None = None) -> int:
             print(f"error: cannot parse --ell {ns.ell!r}", file=sys.stderr)
             return 2
     options = PipelineOptions(ell=ells, ell_bound=ns.ell_bound, seed=ns.seed,
-                              series_precision=ns.precision,
                               include_timings=ns.timings)
     try:
         report = run_pipeline(ns.prime, options)

@@ -83,7 +83,7 @@ def lambda_in(g, target: FieldDescriptor) -> FieldElement:
     return g[4] + g[5] * _fp2_root(target)
 
 
-def fixed_scheme_degree(group: RoquetteGroup, g, precision: int | None = None) -> int:
+def fixed_scheme_degree(group: RoquetteGroup, g) -> int:
     """The Lefschetz number L(g): the degree of the fixed-point scheme of
     g = (A, lam) != 1, read off A = [[a, b], [c, d]] and lam in F_{p^2}.
 
@@ -103,7 +103,7 @@ def fixed_scheme_degree(group: RoquetteGroup, g, precision: int | None = None) -
     if g[1] == g[2] == 0 and g[0] == g[3]:
         return p + 1  # the involution fixes the p + 1 branch points
     if group.is_wild(g):
-        return series.wild_translation_multiplicity(p, 1, group.wild_sign(g), precision)
+        return series.wild_translation_multiplicity(p, 1, group.wild_sign(g))
     F = group.fp2
     a, b, c, d = (F.element(v) for v in g[:4])
     lam = F.element(g[4:])

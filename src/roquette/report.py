@@ -55,7 +55,8 @@ CITED_INFERENCES = [
 ]
 
 
-# ell None selects the ells automatically; series_precision None is 2p+4
+# ell None selects the ells automatically; series_precision must be None
+# (perfbench/workloads.py passes it; ROADMAP items 1(c) and 2 remove it)
 PipelineOptions = namedtuple(
     "PipelineOptions", "ell ell_bound seed series_precision max_prime include_timings",
     defaults=(None, 10_000, 0, None, 31, False))
@@ -215,7 +216,7 @@ def _points_stage(run: _Run) -> None:
 def _character_stage(run: _Run) -> None:
     p, G = run.p, run.G
     classes = G.conjugacy_classes
-    chi = run.chi = character.lefschetz_character(G, run.options.series_precision)
+    chi = run.chi = character.lefschetz_character(G)
     id_idx = G.class_of(G.identity)
     run.mark("char_degree", chi[id_idx] == p - 1,
              f"the cohomology character has degree 2g = p-1 = {p - 1}",
@@ -260,7 +261,7 @@ def _character_stage(run: _Run) -> None:
     for rep, _ in classes:
         if G.is_wild(rep):
             sign = G.wild_sign(rep)
-            L = curve.fixed_scheme_degree(G, rep, run.options.series_precision)
+            L = curve.fixed_scheme_degree(G, rep)
             wild_data[f"sign_{sign:+d}"] = L
             wild_ok = wild_ok and (L == 3 if sign == 1 else L == 1)
     run.mark("wild_multiplicities", wild_ok and len(wild_data) == 2,
@@ -351,12 +352,9 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
         raise UsageError(f"{p} is not prime")
     if p < 5:
         raise UsageError("p must be at least 5 (the curve needs genus >= 2)")
-    # the wild series retries only below the default window 2p+4, so a
-    # larger one cannot change the report
-    if options.series_precision is not None and not (
-            2 <= options.series_precision <= 2 * p + 4):
-        raise UsageError(f"series precision must be between 2 and 2p+4 = "
-                         f"{2 * p + 4}, got {options.series_precision}")
+    if options.series_precision is not None:
+        raise UsageError(f"the series precision is fixed at 2p+4; got "
+                         f"{options.series_precision}, expected None")
     if options.ell_bound < 0:
         raise UsageError(f"ell bound must be non-negative, got {options.ell_bound}")
     if options.ell is not None:

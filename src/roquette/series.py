@@ -217,31 +217,21 @@ class TruncatedSeries:
 # The local model at infinity and wild fixed-point multiplicities
 # ---------------------------------------------------------------------------
 
-def wild_translation_multiplicity(p: int, u: int, sign: int,
-                                  precision: int | None = None) -> int:
+def wild_translation_multiplicity(p: int, u: int, sign: int) -> int:
     """Valuation of g(s) - s for g acting by x -> x + u, y -> sign * y.
 
     u must be a nonzero residue mod p and sign in {+1, -1}; these are the
     normal forms of the elements of order p (sign +1) and 2p (sign -1).
     The sign branch of the induced map on the uniformizer is not guessed:
     both branches are expanded and matched against the y-multiplier.
-    If the difference vanishes through the window, the precision is
-    doubled until it resolves; the error is re-raised only once a try at
-    or above the default 2p + 4 has failed.
+    The expansion runs once, at precision 2p + 4; PrecisionError reaches
+    the caller if the difference vanishes through that window.
     """
     if u % p == 0:
         raise ValueError("translation parameter must be nonzero mod p")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    default = 2 * p + 4
-    prec = precision if precision is not None else default
-    while True:
-        try:
-            return _translation_valuation(p, u, sign, prec)
-        except PrecisionError:
-            if prec >= default:
-                raise
-            prec *= 2
+    return _translation_valuation(p, u, sign, 2 * p + 4)
 
 
 def _translation_valuation(p: int, u: int, sign: int, prec: int) -> int:

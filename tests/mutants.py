@@ -315,15 +315,22 @@ MUTANTS = (
            "default=defaults.seed,", "default=0,",
            ("tests/test_report.py::test_cli_defaults_come_from_the_pipeline_options",),
            "the CLI takes its defaults from PipelineOptions"),
-    Mutant("series-gives-up-at-user-precision", SERIES,
-           "if prec >= default:", "if True:",
-           ("tests/test_series.py::test_wild_multiplicity_gives_up_at_the_default_precision",),
-           "a small window doubles until it reaches the default"),
+    Mutant("series-window-below-one-try", SERIES,
+           "2 * p + 4", "p + 1",
+           ("tests/test_series.py::test_wild_multiplicities_all_parameters",),
+           "below p + 2 the comparison window is empty, and the one try raises"),
 )
 
 
 def _copy_tree(dest: Path) -> None:
-    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    caches = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+
+    def skip(directory, names):
+        # perfbench/out/ holds the gitignored run samples; no test reads them
+        if Path(directory) == ROOT / "perfbench":
+            return caches(directory, names) | {"out"}
+        return caches(directory, names)
+
     for name in COPIED:
         if (ROOT / name).is_dir():
             shutil.copytree(ROOT / name, dest / name, ignore=skip)

@@ -7,8 +7,6 @@ import json
 import random
 import time
 
-import pytest
-
 from roquette import character as CH
 from roquette import curve as C
 from roquette import jacobian as J

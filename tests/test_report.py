@@ -221,7 +221,7 @@ def test_failed_character_checks_carry_their_witnesses(monkeypatch):
     k = G.class_of(G.unipotent())
     values[k] = values[G.class_of(G.identity)]
     monkeypatch.setattr(CH, "lefschetz_character",
-                        lambda group, precision=None: tuple(values))
+                        lambda group: tuple(values))
     checks = {c["name"]: c for c in run_pipeline(5, OPTS_FAST).checks}
     assert checks["char_faithful"]["status"] == "fail"
     assert checks["char_faithful"]["data"] == {
@@ -507,7 +507,8 @@ def test_usage_errors(capsys):
     for bad in (PipelineOptions(series_precision=0),
                 PipelineOptions(series_precision=-3),
                 PipelineOptions(series_precision=1),
-                PipelineOptions(series_precision=15),   # above 2p+4 = 14
+                PipelineOptions(series_precision=15),
+                PipelineOptions(series_precision=14),   # 2p+4, the fixed window
                 PipelineOptions(ell_bound=-5),
                 PipelineOptions(ell=(3, 3)),
                 PipelineOptions(ell=())):
@@ -515,7 +516,8 @@ def test_usage_errors(capsys):
             run_pipeline(5, bad)
     # on the command line each is one line on stderr and exit status 2
     for args in (["--precision", "0"], ["--precision", "-3"], ["--precision", "1"],
-                 ["--precision", "15"], ["--precision", str(10 ** 6)],
+                 ["--precision", "14"], ["--precision", "15"],
+                 ["--precision", str(10 ** 6)],
                  ["--ell-bound", "-5"], ["--ell", "3,3"], ["--ell", ""],
                  ["--ell", "1"], ["--ell", "9"], ["--ell", "3,x"]):
         assert main(["--prime", "5", *args]) == 2
@@ -530,12 +532,6 @@ def test_usage_errors(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: verify")
-
-
-def test_precision_bound_is_inclusive():
-    # 2p+4 is the default window itself, so it gives the default report
-    assert emit(run_pipeline(11, PipelineOptions(series_precision=26)), "markdown") == (
-        emit(run_pipeline(11), "markdown"))
 
 
 def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
@@ -600,24 +596,6 @@ def test_verdict_facts_computed_once(monkeypatch):
     report = run_pipeline(11)
     assert report.verdict["lifts"] == "obstructed"
     assert calls == {"inner_product": 1, "fs_indicator": 1}
-
-
-@pytest.mark.parametrize("p", [17, 31])
-def test_small_precision_gives_the_default_report(p):
-    # one try at the wild series needs precision p + 2; a window of 2 must
-    # keep doubling until it resolves instead of raising
-    low = json.loads(emit(run_pipeline(p, PipelineOptions(series_precision=2))))
-    assert low["input"]["series_precision"] == 2
-    low["input"]["series_precision"] = None
-    assert low == json.loads(emit(run_pipeline(p)))
-
-
-def test_cli_small_precision_exits_0(capsys):
-    assert main(["--prime", "31", "--precision", "2", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    wild = next(c for c in doc["checks"] if c["name"] == "wild_multiplicities")
-    assert wild["status"] == "pass" and wild["data"] == {"sign_+1": 3, "sign_-1": 1}
-    assert doc["verdict"]["lifts"] == "obstructed"
 
 
 def test_fault_injection_every_check(report5):
