@@ -1,16 +1,16 @@
 """Univariate polynomials with coefficients in a finite field.
 
 Coefficients are stored low degree first and kept trimmed (the zero
-polynomial has an empty coefficient tuple and degree -1).  Only what the
-divisor arithmetic needs: ring operations, divmod, gcd / extended gcd,
-modular powers, evaluation and root extraction.
+polynomial has an empty coefficient tuple and degree -1).  Ring operations,
+divmod, the extended gcd and evaluation for the divisor arithmetic, and the
+root finder that the tests use to locate divisor supports.
 """
 
 from __future__ import annotations
 
 import random
 
-from .ff import power, sqrt
+from .ff import power
 
 
 class Poly:
@@ -32,10 +32,6 @@ class Poly:
     @classmethod
     def one(cls, field):
         return cls(field, (field.one(),))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (field.zero(), field.one()))
 
     @classmethod
     def from_ints(cls, field, ints):
@@ -135,9 +131,6 @@ class Poly:
             raise ValueError("division is not exact")
         return q
 
-    def gcd(self, other) -> "Poly":
-        return self.xgcd(other)[0]
-
     def xgcd(self, other) -> tuple["Poly", "Poly", "Poly"]:
         """(d, s, t) with d = s*self + t*other, d monic (or zero)."""
         field = self.field
@@ -153,14 +146,6 @@ class Poly:
             return r0, s0, t0
         c = r0.leading().inverse()
         return r0.scale(c), s0.scale(c), t0.scale(c)
-
-    def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
-        return power(self % modulus, e, lambda a, b: (a * b) % modulus,
-                     Poly.one(self.field))
-
-    def derivative(self) -> "Poly":
-        return Poly(self.field,
-                    tuple(c * i for i, c in enumerate(self.coeffs) if i > 0))
 
     # -- comparisons -----------------------------------------------------------------
 
@@ -181,57 +166,50 @@ class Poly:
 def roots_with_multiplicity(f: Poly, rng: random.Random | None = None):
     """All roots of f lying in its coefficient field, with multiplicities.
 
-    Uses gcd with x^q - x to cut down to the split part, then equal-degree
-    splitting.  The rng only steers the splitting search; the returned set
-    is deterministic and is sorted by coefficient vector.
+    The distinct roots are those of gcd(f, x^q - x), and x - r divides f as
+    often as r's multiplicity.  The rng only steers the splitting search;
+    the returned list is deterministic and sorted by coefficient vector.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     field = f.field
     rng = rng or random.Random(field.order * (f.degree() + 2) + 1)
-    sqfree = f.exact_div(f.gcd(f.derivative())) if f.degree() > 1 else f
-    # restrict to roots in this field
-    xq = Poly.x(field).pow_mod(field.order, sqfree)
-    split_part = sqfree.gcd(xq - Poly.x(field))
-    roots = sorted(roots_of_split(split_part, rng), key=lambda e: e.coeffs)
+    x = Poly(field, (field.zero(), field.one()))
+    xq = power(x, field.order, lambda a, b: (a * b) % f, Poly.one(field))
     out = []
-    for r in roots:
+    for r in sorted(roots_of_split(f.xgcd(xq - x)[0], rng), key=lambda e: e.coeffs):
         lin = Poly(field, (-r, field.one()))
         mult = 0
-        g = f
-        while True:
-            q, rem = g.divmod(lin)
-            if not rem.is_zero():
-                break
+        q, rem = f.divmod(lin)
+        while rem.is_zero():
             mult += 1
-            g = q
+            q, rem = q.divmod(lin)
         out.append((r, mult))
     return out
 
 
+SPLIT_TRIES = 64
+
+
 def roots_of_split(f: Poly, rng: random.Random):
-    """Roots of a squarefree product of linear factors."""
+    """Roots of a squarefree product of linear factors, by equal-degree
+    splitting: for a random c, gcd(f, (x + c)^((q - 1)/2) - 1) keeps the
+    roots r with r + c a nonzero square and splits f about half the time.
+    Raises ValueError when SPLIT_TRIES shifts in a row fail to split f, as
+    for an f with a factor that has no root in its field.
+    """
     deg = f.degree()
     if deg <= 0:
         return []
     field = f.field
-    c = f.coeffs
     if deg == 1:
-        return [-(c[0] / c[1])]
-    if deg == 2:
-        # quadratic formula; every split quadratic over odd q factors this way
-        a, b = c[2], c[1]
-        disc = b * b - 4 * c[0] * a
-        rt = sqrt(disc)
-        if rt is None:
-            raise ValueError("quadratic does not split over its field")
-        two_a = a + a
-        return [(-b + rt) / two_a, (-b - rt) / two_a]
-    half = (field.order - 1) // 2
+        return [-(f.coeffs[0] / f.coeffs[1])]
     one = Poly.one(field)
-    while True:
-        shift = field.random_element(rng)
-        probe = Poly(field, (shift, field.one())).pow_mod(half, f) - one
-        d = probe.gcd(f)
-        if 0 < d.degree() < f.degree():
+    for _ in range(SPLIT_TRIES):
+        shift = Poly(field, (field.random_element(rng), field.one()))
+        probe = power(shift, (field.order - 1) // 2, lambda a, b: (a * b) % f, one)
+        d = (probe - one).xgcd(f)[0]
+        if 0 < d.degree() < deg:
             return roots_of_split(d, rng) + roots_of_split(f.exact_div(d), rng)
+    raise ValueError(f"no split of a degree-{deg} polynomial in {SPLIT_TRIES} tries: "
+                     "it does not split over its field")

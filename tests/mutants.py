@@ -49,6 +49,7 @@ GROUP, REPORT = "src/roquette/group.py", "src/roquette/report.py"
 CLI, CHARACTER = "src/roquette/cli.py", "src/roquette/character.py"
 CURVE, FF = "src/roquette/curve.py", "src/roquette/ff.py"
 JACOBIAN, SERIES = "src/roquette/jacobian.py", "src/roquette/series.py"
+POLY = "src/roquette/poly.py"
 TWICE = "tests/test_report.py::test_a_matrix_enumerated_twice_fails_the_count_checks"
 PGL = "tests/test_group.py::test_pgl_projection"
 CENTRALIZER = "tests/test_group.py::test_centralizer_order_matches_gl2_count"
@@ -58,6 +59,7 @@ PACKED = "tests/test_ff.py::test_packed_product_matches_schoolbook_oracle"
 ACTION = "tests/test_jacobian.py::test_act_on_class_split_support_oracle"
 ALL_PASS = "tests/test_report.py::test_all_checks_pass_at_p5"
 SPAN = "tests/test_jacobian.py::test_coordinates_match_full_span_oracle"
+ROOTS = "tests/test_poly.py::test_roots_with_multiplicity"
 
 MUTANTS = (
     # the census taken by the class search
@@ -319,6 +321,19 @@ MUTANTS = (
            "2 * p + 4", "p + 1",
            ("tests/test_series.py::test_wild_multiplicities_all_parameters",),
            "below p + 2 the comparison window is empty, and the one try raises"),
+    # the root finder the tests use to locate divisor supports
+    Mutant("roots-gcd-with-xq", POLY,
+           "f.xgcd(xq - x)[0]", "f.xgcd(xq)[0]",
+           (ROOTS,), "the split part is gcd(f, x^q - x); gcd(f, x^q) keeps only the root 0"),
+    Mutant("roots-multiplicity-off-by-one", POLY,
+           "        mult = 0\n", "        mult = 1\n",
+           (ROOTS,), "a multiplicity counts the divisions by x - r that leave no remainder"),
+    Mutant("split-gives-up-silently", POLY,
+           '    raise ValueError(f"no split of a degree-{deg} polynomial in {SPLIT_TRIES} tries: "\n'
+           '                     "it does not split over its field")\n',
+           "    return []\n",
+           ("tests/test_poly.py::test_roots_of_split_raises_without_a_split",),
+           "a factor with no root in its field is an error, not an empty root list"),
 )
 
 

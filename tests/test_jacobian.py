@@ -460,6 +460,30 @@ def test_crt_bound_checks(group5, traces3):
         J.crt_reconstruct(5, {3: (1,), 7: (6,)})
 
 
+def jacobian_over(k):
+    return J.CurveJacobian(make_field(5, k), 5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: J.CurveJacobian(make_field(7, 2), 5), "characteristic does not match"),
+    # y^2 = 1 but x^5 - x = 0 at x = 0
+    (lambda: jacobian_over(2).from_point(make_field(5, 2).zero(), make_field(5, 2).one()),
+     "not on the curve"),
+    (lambda: jacobian_over(2).from_point(make_field(5, 4).zero(), make_field(5, 4).zero()),
+     "different field"),
+    (lambda: jacobian_over(2).add(jacobian_over(2).zero(), jacobian_over(4).zero()),
+     "different field"),
+    (lambda: J.jacobian_order(5, 0), "m must be >= 1"),
+    (lambda: J.crt_reconstruct(5, {}), "no trace data"),
+    (lambda: J.crt_reconstruct(5, {3: (1, 2), 7: (1,)}), "mismatched class lists"),
+], ids=["field-of-another-characteristic", "point-off-the-curve", "point-over-another-field",
+        "add-over-different-fields", "order-at-m-0", "crt-without-traces",
+        "crt-mismatched-lengths"])
+def test_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_torsion_witness_p7_ell3(group7, torsion3_p7):
     # genus 3: degree-3 Mumford polynomials and cubic splitting fields
     G, tb = group7, torsion3_p7

@@ -1,11 +1,11 @@
-"""Polynomial layer: divmod, gcd, root extraction."""
+"""Polynomial layer: divmod, extended gcd, root extraction."""
 
 import random
 
 import pytest
 
-from roquette.ff import make_field
-from roquette.poly import Poly, roots_with_multiplicity
+from roquette.ff import make_field, power
+from roquette.poly import Poly, roots_of_split, roots_with_multiplicity
 
 
 def rand_poly(field, deg, rng):
@@ -41,7 +41,7 @@ def test_xgcd_bezout():
 
 def test_exact_div_raises_on_remainder():
     field = make_field(5, 1)
-    x = Poly.x(field)
+    x = Poly(field, (field.zero(), field.one()))
     with pytest.raises(ValueError):
         (x * x + Poly.one(field)).exact_div(x)
 
@@ -61,6 +61,15 @@ def test_roots_with_multiplicity():
         found = roots_with_multiplicity(f)
         assert sorted((r.coeffs, m) for r, m in found) == \
             sorted((r.coeffs, m) for r, m in zip(chosen, mults))
+    # multiplicities that the characteristic divides: (x - a)^p and
+    # (x - a)^(2p) * (x - b), whose derivatives vanish at a
+    for p, k in [(5, 1), (7, 1), (5, 2)]:
+        field = make_field(p, k)
+        a, b = field.element(2), field.element(3)
+        lin_a, lin_b = Poly(field, (-a, field.one())), Poly(field, (-b, field.one()))
+        f = power(lin_a, p, Poly.__mul__, Poly.one(field))
+        assert roots_with_multiplicity(f) == [(a, p)]
+        assert roots_with_multiplicity(f * f * lin_b) == [(a, 2 * p), (b, 1)]
 
 
 def test_roots_skips_irreducible_factor():
@@ -73,7 +82,15 @@ def test_roots_skips_irreducible_factor():
     assert found[0][0] == field.one() and found[0][1] == 1
 
 
+def test_roots_of_split_raises_without_a_split():
+    # x^2 + 2 has no root over F_5: -2 = 3 is a non-square
+    field = make_field(5, 1)
+    with pytest.raises(ValueError, match="does not split"):
+        roots_of_split(Poly.from_ints(field, [2, 0, 1]), random.Random(0))
+
+
 def test_pow_mod_matches_repeated_multiplication():
+    # ff.power with a product mod m, as the root finder takes x^q mod f
     field = make_field(5, 2)
     rng = random.Random(14)
     m = rand_poly(field, 3, rng)
@@ -82,5 +99,5 @@ def test_pow_mod_matches_repeated_multiplication():
     b = rand_poly(field, 2, rng)
     acc = Poly.one(field)
     for e in range(12):
-        assert b.pow_mod(e, m) == acc % m
+        assert power(b % m, e, lambda u, v: (u * v) % m, Poly.one(field)) == acc % m
         acc = acc * b
