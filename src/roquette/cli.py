@@ -23,6 +23,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def int_list(text: str) -> tuple:
+    """--ell's comma-separated integers; empty items are skipped."""
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     defaults = PipelineOptions()
     ap = _Parser(
@@ -31,12 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "y^2 = x^p - x for a concrete prime p.")
     ap.add_argument("--prime", type=int, required=True,
                     help=f"the prime p (5 <= p <= {defaults.max_prime})")
-    ap.add_argument("--ell", type=str, default=None,
-                    help="comma-separated odd primes for the torsion witness "
-                         "(default: automatic selection)")
+    ap.add_argument("--ell", type=int_list, default=None,
+                    help="comma-separated primes for the torsion witness "
+                         "(default: the two smallest --ell-bound allows)")
     ap.add_argument("--ell-bound", type=int, default=defaults.ell_bound,
-                    help="largest allowed full-torsion size ell^(2g) "
-                         f"(default {defaults.ell_bound})")
+                    help="a witness ell is an odd prime other than p whose full "
+                         f"torsion fits this bound on ell^(2g) (default {defaults.ell_bound})")
     ap.add_argument("--seed", type=int, default=defaults.seed,
                     help=f"seed for the torsion-basis sampling (default {defaults.seed})")
     ap.add_argument("--format", choices=("json", "markdown"), default="markdown")
@@ -53,14 +58,7 @@ def main(argv: list | None = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    ells = None
-    if ns.ell is not None:
-        try:
-            ells = tuple(int(x) for x in ns.ell.split(",") if x.strip())
-        except ValueError:
-            print(f"error: cannot parse --ell {ns.ell!r}", file=sys.stderr)
-            return 2
-    options = PipelineOptions(ell=ells, ell_bound=ns.ell_bound, seed=ns.seed,
+    options = PipelineOptions(ell=ns.ell, ell_bound=ns.ell_bound, seed=ns.seed,
                               include_timings=ns.timings)
     try:
         report = run_pipeline(ns.prime, options)

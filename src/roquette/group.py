@@ -42,11 +42,9 @@ class RoquetteGroup:
     """Group context for one prime p >= 5; construct via get_group(p)."""
 
     def __init__(self, p: int):
-        if not ff.is_prime(p) or p < 5:
-            raise ValueError(f"p must be a prime >= 5, got {p}")
+        self.fp2 = make_field(p, 2)  # raises ValueError unless p is a prime >= 5
         self.p = p
         self.order = 2 * p * (p * p - 1)
-        self.fp2 = make_field(p, 2)
         # z^2 = -m1*z - m0 in F_{p^2}
         m0, m1, _ = self.fp2.modulus
         self._m0 = m0
@@ -65,14 +63,10 @@ class RoquetteGroup:
 
     def _build_det_roots(self):
         # for each nonzero det value, its two square roots in F_{p^2},
-        # ordered lexicographically
-        roots = {}
-        for v in range(1, self.p):
-            r = ff.sqrt(self.fp2.element(v))
-            c = r.coeffs
-            nc = ((-c[0]) % self.p, (-c[1]) % self.p)
-            roots[v] = (min(c, nc), max(c, nc))
-        return roots
+        # ordered lexicographically: ff.sqrt returns the smaller one
+        p = self.p
+        roots = {v: ff.sqrt(self.fp2.element(v)).coeffs for v in range(1, p)}
+        return {v: (c, (-c[0] % p, -c[1] % p)) for v, c in roots.items()}
 
     # -- normal form and the group law -----------------------------------------------
 

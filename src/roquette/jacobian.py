@@ -24,6 +24,7 @@ most one Cantor addition, because g(inf) is a Weierstrass point.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import namedtuple
 
@@ -31,6 +32,12 @@ from . import curve, ff
 from .ff import FieldDescriptor, make_field
 from .group import RoquetteGroup
 from .poly import Poly
+
+
+# random x-coordinates random_divisor draws for one point before it gives
+# up; the sparsest field, F_{p^2} at p = 1 mod 4, has points over x in F_p
+# only, so at p <= 31 a correct search gives up with chance below e^-30
+POINT_TRIES = 1_000
 
 
 def jacobian_order(p: int, m: int) -> int:
@@ -109,20 +116,18 @@ class CurveJacobian:
     def random_divisor(self, rng: random.Random) -> tuple:
         """Sum of genus random points, assembled from random x-coordinates."""
         acc = self.zero()
-        picked = 0
-        while picked < self.genus:
-            x = self.field.random_element(rng)
-            val = self.f.evaluate(x)
-            if val.is_zero():
-                y = self.field.zero()
+        for _ in range(self.genus):
+            for _ in range(POINT_TRIES):
+                x = self.field.random_element(rng)
+                val = self.f.evaluate(x)
+                y = val if val.is_zero() else ff.sqrt(val)
+                if y is not None:
+                    break
             else:
-                y = ff.sqrt(val)
-                if y is None:
-                    continue
-                if rng.randrange(2):
-                    y = -y
+                raise RuntimeError(f"no curve point over {POINT_TRIES} random x-coordinates")
+            if not y.is_zero() and rng.randrange(2):
+                y = -y
             acc = self.add(acc, self.from_point(x, y))
-            picked += 1
         return acc
 
 
@@ -181,6 +186,40 @@ def act_on_class(group: RoquetteGroup, g, D: tuple) -> tuple:
 # ell-torsion bases and representation matrices
 # ---------------------------------------------------------------------------
 
+def _ell_fault(p: int, ell: int, bound: int) -> str | None:
+    """Why ell breaks the witness rule at p, or None.  The size test comes
+    first: trial division would not finish on a huge ell."""
+    if ell >= 3 and ell != p and ell ** (p - 1) > bound:
+        return (f"ell = {ell}: ell^(2g) = {ell ** (p - 1)} exceeds the bound "
+                f"{bound}; raise --ell-bound to force it")
+    if ell < 3 or ell == p or not ff.is_prime(ell):
+        return f"ell = {ell} must be an odd prime different from p"
+    return None
+
+
+def witness_ells(p: int, ells, bound: int) -> tuple:
+    """The ells the witness at p runs.  Each is an odd prime other than p
+    with ell^(2g) <= bound: the two smallest when ells is None (fewer when
+    the bound ends the walk), else ells itself, a non-empty list of
+    distinct such ells; ValueError names the fault otherwise."""
+    if bound < 0:
+        raise ValueError(f"ell bound must be non-negative, got {bound}")
+    if ells is None:
+        # ell^(2g) grows with ell, so the walk ends at the first ell too big
+        fits = itertools.takewhile(lambda e: e ** (p - 1) <= bound, itertools.count(3, 2))
+        return tuple(itertools.islice(
+            (e for e in fits if _ell_fault(p, e, bound) is None), 2))
+    ells = tuple(ells)
+    if not ells:
+        raise ValueError("the ell list is empty; leave it unset for automatic selection")
+    if len(set(ells)) != len(ells):
+        raise ValueError(f"ell = {list(ells)} names a prime more than once")
+    fault = next(filter(None, (_ell_fault(p, ell, bound) for ell in ells)), None)
+    if fault:
+        raise ValueError(fault)
+    return ells
+
+
 class TorsionBasis(namedtuple(
         "TorsionBasis", "ell m jacobian jacobian_order basis table giant_steps")):
     """A basis of the full ell-torsion with its discrete-log table.
@@ -225,14 +264,8 @@ def torsion_basis(group: RoquetteGroup, ell: int, seed: int = 0,
     of the lookup in `TorsionBasis.coordinates`.
     """
     p = group.p
-    if not ff.is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
-    if ell == p:
-        raise ValueError("ell must differ from p")
+    witness_ells(p, (ell,), bound)
     g2 = p - 1  # 2g
-    if ell ** g2 > bound:
-        raise ValueError(
-            f"ell^(2g) = {ell ** g2} exceeds the brute-force bound {bound}")
     frob = curve.frobenius_sign(p) * p
     # the order of eps*p mod ell, a divisor of ell - 1 as ell != p
     m = ff.multiplicative_order(ell - 1, lambda e: pow(frob, e, ell) == 1)

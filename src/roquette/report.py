@@ -55,7 +55,7 @@ CITED_INFERENCES = [
 ]
 
 
-# ell None selects the ells automatically; series_precision must be None
+# ell None lets jacobian.witness_ells pick the ells; series_precision must be None
 # (perfbench/workloads.py passes it; ROADMAP items 1(c) and 2 remove it)
 PipelineOptions = namedtuple(
     "PipelineOptions", "ell ell_bound seed series_precision max_prime include_timings",
@@ -89,17 +89,6 @@ def _first_mismatch(expected, found) -> dict:
     return next(({"class": i, "expected": e, "found": f}
                  for i, (e, f) in enumerate(itertools.zip_longest(expected, found))
                  if e != f), {})
-
-
-def select_ells(p: int, bound: int) -> tuple:
-    """Up to two smallest odd primes != p whose full torsion fits the bound."""
-    out = []
-    cand = 3
-    while len(out) < 2 and cand ** (p - 1) <= bound:
-        if cand != p and is_prime(cand):
-            out.append(cand)
-        cand += 2
-    return tuple(out)
 
 
 def final_verdict(integer_valued: bool | None, norm: int | list | None,
@@ -343,8 +332,8 @@ def _stages(ells: tuple) -> list:
 def run_pipeline(p: int, options: PipelineOptions | None = None) -> VerificationReport:
     options = options or PipelineOptions()
     t_start = time.monotonic()
-    # the size bounds come before the trial-division prime tests, which
-    # would not finish on a huge input
+    # the size bound comes before the trial-division prime test, which
+    # would not finish on a huge p; witness_ells keeps the same order
     if p > options.max_prime:
         raise UsageError(
             f"p = {p} exceeds the configured maximum {options.max_prime}")
@@ -355,25 +344,10 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     if options.series_precision is not None:
         raise UsageError(f"the series precision is fixed at 2p+4; got "
                          f"{options.series_precision}, expected None")
-    if options.ell_bound < 0:
-        raise UsageError(f"ell bound must be non-negative, got {options.ell_bound}")
-    if options.ell is not None:
-        ells = tuple(options.ell)
-        if not ells:
-            raise UsageError("the ell list is empty; leave it unset for automatic selection")
-        if len(set(ells)) != len(ells):
-            raise UsageError(f"ell = {list(ells)} names a prime more than once")
-        for ell in ells:
-            if ell < 3 or ell == p:
-                raise UsageError(f"ell = {ell} must be an odd prime different from p")
-            if ell ** (p - 1) > options.ell_bound:
-                raise UsageError(
-                    f"ell = {ell}: ell^(2g) = {ell ** (p - 1)} exceeds the bound "
-                    f"{options.ell_bound}; raise --ell-bound to force it")
-            if not is_prime(ell):
-                raise UsageError(f"ell = {ell} must be an odd prime different from p")
-    else:
-        ells = select_ells(p, options.ell_bound)
+    try:
+        ells = jacobian.witness_ells(p, options.ell, options.ell_bound)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     run = _Run(p, options, ells)
     timings: dict = {}
     for stage in _stages(run.ells):

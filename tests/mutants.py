@@ -218,6 +218,27 @@ MUTANTS = (
     Mutant("classes-conjugate-by-s-x-s", GROUP,
            "y = mul(mul(s, x), si)", "y = mul(mul(s, x), s)",
            ("tests/test_group.py::test_class_equation",), "conjugation is s x s^(-1)"),
+    # the one rule for the witness primes, and the bounded point search
+    Mutant("witness-ells-size-after-prime-test", JACOBIAN,
+           "    if ell >= 3 and ell != p and ell ** (p - 1) > bound:",
+           "    if ell >= 3 and ell != p and ff.is_prime(ell) and ell ** (p - 1) > bound:",
+           ("tests/test_report.py::test_huge_inputs_fail_the_bounds_before_any_prime_test",
+            "tests/test_jacobian.py::test_torsion_basis_rejects_a_huge_ell_at_once"),
+           "trial division would not finish on a huge ell, so the size test comes first"),
+    Mutant("witness-ells-accept-p", JACOBIAN,
+           "    if ell < 3 or ell == p or not ff.is_prime(ell):",
+           "    if ell < 3 or not ff.is_prime(ell):",
+           ("tests/test_report.py::test_select_ells", "tests/test_report.py::test_usage_errors"),
+           "J[p] is not the ell-adic torsion the witness needs"),
+    Mutant("witness-ells-selects-three", JACOBIAN,
+           "(e for e in fits if _ell_fault(p, e, bound) is None), 2))",
+           "(e for e in fits if _ell_fault(p, e, bound) is None), 3))",
+           ("tests/test_report.py::test_select_ells",),
+           "automatic selection keeps the two smallest ells"),
+    Mutant("random-divisor-unbounded", JACOBIAN,
+           "            for _ in range(POINT_TRIES):", "            for _ in iter(int, 1):",
+           ("tests/test_jacobian.py::test_random_divisor_gives_up_after_point_tries",),
+           "every randomized search ends with a reason"),
     # the torsion basis and its discrete logs
     Mutant("torsion-m-from-p", JACOBIAN,
            "frob = curve.frobenius_sign(p) * p", "frob = p",

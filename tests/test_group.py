@@ -206,6 +206,15 @@ def test_sqrt_group(p):
     assert max(orders) == 2 * (p - 1)
 
 
+@pytest.mark.parametrize("p", [5, 29])
+def test_det_roots_start_with_the_canonical_root(p):
+    # _slot's lambda bit takes _det_roots[v][0] to be ff.sqrt's root
+    G = RoquetteGroup(p)
+    for v in range(1, p):
+        root = ff.sqrt(G.fp2.element(v))
+        assert G._det_roots[v] == (root.coeffs, (-root).coeffs)
+
+
 @pytest.mark.parametrize("p", [p for p in range(5, 62) if ff.is_prime(p)])
 def test_sqrt_group_matches_squaring_oracle(p):
     G = RoquetteGroup(p)

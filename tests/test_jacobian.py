@@ -3,6 +3,7 @@ trace congruences that realize independence-of-ell at finite level."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -345,6 +346,43 @@ def test_torsion_rejects_bad_ell(group5):
         J.torsion_basis(group5, 9)       # not prime
     with pytest.raises(ValueError):
         J.torsion_basis(group5, 11)      # 11^4 over the default bound
+
+
+def test_torsion_basis_rejects_a_huge_ell_at_once(group5, monkeypatch):
+    # 10^24 + 7 fails ell^(2g) <= 10^4 at once; trial division of it would
+    # not finish, so the rule must reject it before any prime test
+    real = ff.is_prime
+
+    def small_only(n):
+        if n > 10 ** 6:
+            raise AssertionError(f"is_prime called on {n}")
+        return real(n)
+    monkeypatch.setattr(ff, "is_prime", small_only)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        J.torsion_basis(group5, 10 ** 24 + 7)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_random_divisor_gives_up_after_point_tries(monkeypatch):
+    # over F_25 only x in F_5 lie under a point; the stub returns one x
+    # outside F_5 one time more than the bound allows, then raises
+    jac = jacobian_over(2)
+    x = next(x for x in jac.field.elements() if ff.sqrt(jac.f.evaluate(x)) is None)
+
+    class Sentinel(Exception):
+        pass
+    draws = []
+
+    def stub(field, rng):
+        if len(draws) > J.POINT_TRIES:
+            raise Sentinel
+        draws.append(x)
+        return x
+    monkeypatch.setattr(ff.FieldDescriptor, "random_element", stub)
+    with pytest.raises(RuntimeError, match=f"no curve point over {J.POINT_TRIES} random"):
+        jac.random_divisor(random.Random(0))
+    assert len(draws) == J.POINT_TRIES
 
 
 def test_rep_matrix_involution(group5, torsion3, torsion7):

@@ -16,8 +16,7 @@ from roquette import curve, ff, jacobian, series
 from roquette import report as R
 from roquette.cli import build_parser, main
 from roquette.group import RoquetteGroup, get_group
-from roquette.report import (PipelineOptions, UsageError, emit, final_verdict,
-                             run_pipeline, select_ells)
+from roquette.report import PipelineOptions, UsageError, emit, final_verdict, run_pipeline
 
 
 OPTS_FAST = PipelineOptions(ell=(3,))
@@ -402,25 +401,27 @@ def test_unknown_format_rejected(report5):
 
 
 def test_select_ells():
-    assert select_ells(5, 10_000) == (3, 7)
-    assert select_ells(7, 10_000) == (3,)
-    assert select_ells(11, 10_000) == ()
-    assert select_ells(13, 10_000) == ()
-    assert select_ells(3, 10_000) == (5, 7) or select_ells(3, 10_000) == ()
+    assert jacobian.witness_ells(5, None, 10_000) == (3, 7)
+    assert jacobian.witness_ells(7, None, 10_000) == (3,)
+    assert jacobian.witness_ells(11, None, 10_000) == ()
+    assert jacobian.witness_ells(13, None, 10_000) == ()
+    assert jacobian.witness_ells(3, None, 10_000) in ((5, 7), ())
+    # 11^4 fits 10^6, but the selection stops at two ells
+    assert jacobian.witness_ells(5, None, 10 ** 6) == (3, 7)
 
 
 def test_select_ells_stops_at_the_bound(monkeypatch):
     # already 3^28 exceeds the bound, so no candidate is even tested
-    calls, real = [], R.is_prime
+    calls, real = [], ff.is_prime
 
     def counted(n):
         calls.append(n)
         return real(n)
-    monkeypatch.setattr(R, "is_prime", counted)
-    assert select_ells(29, 10 ** 5) == ()
+    monkeypatch.setattr(ff, "is_prime", counted)
+    assert jacobian.witness_ells(29, None, 10 ** 5) == ()
     assert calls == []
-    assert select_ells(29, 10 ** 7) == ()
-    assert select_ells(5, 10_000) == (3, 7)
+    assert jacobian.witness_ells(29, None, 10 ** 7) == ()
+    assert jacobian.witness_ells(5, None, 10_000) == (3, 7)
     assert calls == [3, 7]  # 5 = p is skipped before the prime test
 
 
@@ -543,7 +544,8 @@ def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
         if n > 10 ** 6:
             raise AssertionError(f"is_prime called on {n}")
         return real(n)
-    monkeypatch.setattr(R, "is_prime", small_only)
+    monkeypatch.setattr(R, "is_prime", small_only)   # the test of p
+    monkeypatch.setattr(ff, "is_prime", small_only)  # the one witness_ells calls
     with pytest.raises(UsageError, match="exceeds the configured maximum"):
         run_pipeline(100000000000000000039)
     with pytest.raises(UsageError, match="exceeds the bound"):

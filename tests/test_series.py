@@ -7,6 +7,7 @@ import pytest
 
 from roquette import series as S
 from roquette.ff import make_field
+from roquette.poly import Poly
 from roquette.series import TruncatedSeries
 
 
@@ -109,11 +110,23 @@ def test_infinity_chart_satisfies_curve_equation():
         assert (y * y - x ** p + x).is_zero()
 
 
-@pytest.mark.parametrize("p", [5, 7])
+def degree_route(p, u, sign):
+    """p - 2 deg((x + u)^g - sign x^g): with t = x^g / y, sigma(t) - t is
+    ((x + u)^g - sign x^g) / (sign y), and v(x) = -2, v(y) = -p at inf."""
+    F = make_field(p, 1)
+    g = (p - 1) // 2
+    shifted = Poly.one(F)
+    for _ in range(g):
+        shifted = shifted * Poly.from_ints(F, (u, 1))
+    return p - 2 * (shifted - Poly.from_ints(F, (0,) * g + (sign,))).degree()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_wild_multiplicities_all_parameters(p):
-    for u in range(1, p):
-        assert S.wild_translation_multiplicity(p, u, 1) == 3
-        assert S.wild_translation_multiplicity(p, u, -1) == 1
+    # every u at p <= 13, u in {1, 2} above
+    for u in range(1, p) if p <= 13 else (1, 2):
+        for sign in (1, -1):
+            assert S.wild_translation_multiplicity(p, u, sign) == degree_route(p, u, sign)
 
 
 def test_wild_multiplicity_validates_input():
