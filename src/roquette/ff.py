@@ -356,7 +356,7 @@ class FieldElement:
             return self.inverse() ** (-e)
         return power(self, e, operator.mul, self.field.one())
 
-    def frobenius(self, i: int = 1) -> "FieldElement":
+    def frobenius(self, i: int) -> "FieldElement":
         """The i-fold Frobenius a -> a^(p^i)."""
         return self ** (self.field.p ** (i % self.field.k))
 

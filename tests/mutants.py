@@ -5,9 +5,11 @@ tests that must then fail.  The runner first runs the union of those
 selections on an unmutated copy of the tree, which must pass.  Then, for
 each mutant, it copies the tree to a temporary directory, applies the
 mutant there and runs `pytest -x` on its selection.  A mutant is killed
-when pytest reports a failed test (exit status 1).  The runner exits 1 if
-any mutant survives or breaks the run some other way (exit status 2 and up,
-a collection error say), and 2 on an unknown mutant name.
+when pytest reports a failed test (exit status 1); a test that loops past
+the hang limit of tests/conftest.py ends pytest with that status too.  The
+runner exits 1 if any mutant survives, runs past TIMEOUT_S or breaks the
+run some other way (exit status 2 and up, a collection error say), and 2 on
+an unknown mutant name.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME [NAME]  # only these
@@ -34,6 +36,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 # BENCHMARK.json and perfbench/ are read by tests/test_benchmark_contract.py
 COPIED = ("pyproject.toml", "src", "tests", "BENCHMARK.json", "perfbench")
+# one pytest run, far above a selection's time plus the per-test hang limit
+# of tests/conftest.py, which turns a looping test into exit status 1
+TIMEOUT_S = 600
 
 
 class Mutant(NamedTuple):
@@ -50,8 +55,6 @@ CLI, CHARACTER = "src/roquette/cli.py", "src/roquette/character.py"
 CURVE, FF = "src/roquette/curve.py", "src/roquette/ff.py"
 JACOBIAN, SERIES = "src/roquette/jacobian.py", "src/roquette/series.py"
 POLY = "src/roquette/poly.py"
-TWICE = "tests/test_report.py::test_a_matrix_enumerated_twice_fails_the_count_checks"
-PGL = "tests/test_group.py::test_pgl_projection"
 CENTRALIZER = "tests/test_group.py::test_centralizer_order_matches_gl2_count"
 FIXED = "tests/test_curve.py::test_fixed_points_really_are_fixed"
 FERMAT = "tests/test_ff.py::test_inverse_matches_fermat_oracle"
@@ -62,26 +65,24 @@ SPAN = "tests/test_jacobian.py::test_coordinates_match_full_span_oracle"
 ROOTS = "tests/test_poly.py::test_roots_with_multiplicity"
 
 MUTANTS = (
-    # the census taken by the class search
-    Mutant("census-counts-only-unseen", GROUP,
-           "            if table[k]:\n                continue\n",
-           "            if table[k]:\n                n -= 1\n                continue\n",
-           (TWICE,), "a matrix enumerated twice must raise the count above |G|"),
-    Mutant("census-image-by-element-slot", GROUP,
-           "image[k >> 1] = 1", "image[k] = 1",
-           (PGL,), "the image is counted in matrix slots, two elements to a slot"),
-    Mutant("census-kernel-on-first-row", GROUP,
-           "if h[:4] == (1, 0, 0, 1):", "if h[:2] == (1, 0):",
-           (PGL,), "the kernel needs the whole matrix part to be I"),
-    Mutant("report-second-counting-walk", REPORT,
-           "n_elements, image_size, ker = G.census",
-           "n_elements, image_size, ker = sum(1 for _ in G.iter_elements()), *G.census[1:]",
+    # the class equation and the kernel read off the classes
+    Mutant("classes-drop-the-last", GROUP,
+           "return tuple(classes), table", "return tuple(classes[:-1]), table",
+           (ALL_PASS, "tests/test_group.py::test_conjugacy_partition"),
+           "a class left out of the list makes the class sizes sum short of |G|"),
+    Mutant("pgl-kernel-on-first-row", REPORT,
+           "if rep[:4] == (1, 0, 0, 1))", "if rep[:2] == (1, 0))",
+           (ALL_PASS,), "the kernel needs the whole matrix part to be I"),
+    Mutant("report-group-order-by-a-second-walk", REPORT,
+           "counted = sum(size for _, size in classes)",
+           "counted = sum(1 for _ in G.iter_elements())",
            ("tests/test_report.py::test_a_run_walks_the_group_once",),
-           "a run walks G once"),
-    Mutant("pgl-projection-without-count", REPORT,
-           "image_size * 2 == n_elements == expected_order",
-           "image_size * 2 == expected_order",
-           (TWICE,), "|image| |kernel| = counted |G| catches a repeated matrix"),
+           "a run walks G once; the class equation sums the class sizes"),
+    Mutant("pgl-projection-without-kernel-comparison", REPORT,
+           "ker == (G.identity, G.involution) and image_size",
+           "image_size",
+           ("tests/test_report.py::test_a_kernel_of_the_wrong_elements_fails_pgl_projection",),
+           "two central classes of one element each need not be {1, involution}"),
     Mutant("slot-without-lambda-bit", GROUP,
            " + (2 * (l0 or l1) > p)", "",
            ("tests/test_group.py::test_slots_are_dense_and_follow_the_enumeration",),
@@ -355,6 +356,11 @@ MUTANTS = (
            "    return []\n",
            ("tests/test_poly.py::test_roots_of_split_raises_without_a_split",),
            "a factor with no root in its field is an error, not an empty root list"),
+    # a fault that loops, which the hang limit of tests/conftest.py fails
+    Mutant("poly-degree-one-too-high", POLY,
+           "        return len(self.coeffs) - 1\n", "        return len(self.coeffs)\n",
+           ("tests/test_jacobian.py::test_torsion_basis_ell3",),
+           "with deg u one too high, Cantor reduction never ends"),
 )
 
 
@@ -374,8 +380,9 @@ def _copy_tree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
-def run(mutant: Mutant | None, tests: tuple) -> int:
-    """pytest's exit status on a copy of the tree with mutant applied."""
+def run(mutant: Mutant | None, tests: tuple) -> int | None:
+    """pytest's exit status on a copy of the tree with mutant applied, or
+    None when it runs past TIMEOUT_S."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
@@ -387,10 +394,14 @@ def run(mutant: Mutant | None, tests: tuple) -> int:
                                  f"{text.count(mutant.old)} times in {mutant.file}")
             path.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S,
+            ).returncode
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def main(names: list) -> int:
@@ -406,7 +417,8 @@ def main(names: list) -> int:
     for m in chosen:
         t0 = time.perf_counter()
         status = run(m, m.tests)
-        outcome = "killed" if status == 1 else "SURVIVED" if status == 0 else f"BROKE ({status})"
+        outcome = ("killed" if status == 1 else "SURVIVED" if status == 0
+                   else "TIMED OUT" if status is None else f"BROKE ({status})")
         print(f"{outcome:10} {m.name}  {time.perf_counter() - t0:.1f} s  [{m.file}]")
         survivors += status != 1
     print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")

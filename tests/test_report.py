@@ -127,7 +127,9 @@ def test_group_stage_failure_becomes_a_failed_check(fresh_groups, monkeypatch, c
     assert "**Verdict: not determined.**" in text and "\u2717 `group`" in text
 
 
-def test_a_matrix_enumerated_twice_fails_the_count_checks(fresh_groups, monkeypatch):
+def test_a_matrix_enumerated_twice_changes_no_report_byte(report5, fresh_groups, monkeypatch):
+    # the repeat finds its elements already in a class, and the checks read
+    # the classes, not the walk
     real = RoquetteGroup._canonical_matrices
 
     def second_twice(self):
@@ -136,17 +138,40 @@ def test_a_matrix_enumerated_twice_fails_the_count_checks(fresh_groups, monkeypa
             if i == 1:
                 yield mat
     monkeypatch.setattr(RoquetteGroup, "_canonical_matrices", second_twice)
-    report = run_pipeline(5, OPTS_FAST)
+    assert emit(run_pipeline(5, OPTS_FAST), "json") == emit(report5, "json")
+
+
+def test_a_class_left_out_fails_the_class_equation(fresh_groups, monkeypatch):
+    # every wild element reads the identity's slot, so the walk meets all
+    # |G| elements but opens none of the two wild classes of p^2 - 1 each
+    real = RoquetteGroup._slot
+    monkeypatch.setattr(RoquetteGroup, "_slot", lambda self, g: real(
+        self, self.identity if self.is_wild(g) else g))
+    report = run_pipeline(11)
     failed = {c["name"]: c["data"] for c in report.failed}
-    assert failed["group_order"]["counted"] == 242
-    assert failed["pgl_projection"]["image_size"] == 120
-    assert failed["pgl_projection"]["kernel_size"] == 2
+    assert failed["group_order"] == {"counted": 2640 - 2 * 120, "expected": 2640}
+
+
+def test_a_kernel_of_the_wrong_elements_fails_pgl_projection(fresh_groups, monkeypatch):
+    # the involution's class swapped for another one-element class with
+    # matrix part I: the class equation and the kernel's size still hold
+    real = RoquetteGroup.conjugacy_classes.fget
+
+    def forged(self):
+        return tuple(((1, 0, 0, 1, 2, 0), size) if rep == self.involution else (rep, size)
+                     for rep, size in real(self))
+    monkeypatch.setattr(RoquetteGroup, "conjugacy_classes", property(forged))
+    checks = {c["name"]: c for c in run_pipeline(11).checks}
+    assert checks["group_order"]["status"] == "pass"
+    assert checks["pgl_projection"]["status"] == "fail"
+    assert checks["pgl_projection"]["data"] == {
+        "kernel_size": 2, "image_size": 1320, "expected_image": 1320}
 
 
 @pytest.mark.parametrize("p, options", [(13, PipelineOptions()), (5, OPTS_FAST)])
 def test_a_run_walks_the_group_once(fresh_groups, monkeypatch, p, options):
-    # the class search's walk also takes the census; nothing else walks G
-    # (at p = 13 the witness is skipped)
+    # the class search walks G and the group checks read its classes;
+    # nothing else walks G (at p = 13 the witness is skipped)
     real, calls = RoquetteGroup._canonical_matrices, []
 
     def counted(self):
@@ -535,6 +560,17 @@ def test_usage_errors(capsys):
     assert capsys.readouterr().out.startswith("usage: verify")
 
 
+@pytest.mark.parametrize("p", [5, 31])
+def test_cli_huge_ell_names_ell_and_the_bound(capsys, p):
+    # ell^(2g) has 97 digits at p = 5 and about 720 at p = 31; the line
+    # names ell and the bound, not that power
+    ell = "1000000000000000000000007"
+    assert main(["--prime", str(p), "--ell", ell]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 120
+    assert f"ell = {ell}" in err and "exceeds the bound 10000" in err
+
+
 def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
     # trial division of either number would not finish; the size bounds
     # must reject both before is_prime sees them
@@ -609,6 +645,10 @@ def test_fault_injection_every_check(report5):
         mutated = copy.deepcopy(report5)
         mutated.checks[i]["status"] = "fail"
         assert mutated.exit_code == 1
+    # the exit status reads the checks alone: verdict_obstructed already
+    # fails whenever the verdict is not "obstructed"
+    undetermined = report5._replace(verdict={**report5.verdict, "lifts": "not determined"})
+    assert undetermined.exit_code == 0
 
 
 def test_cli_markdown_and_exit_codes(tmp_path, capsys):
