@@ -28,11 +28,15 @@ An inverse is one extended-Euclid loop on the coefficient lists of the
 modulus and the element; on a zero divisor of a reducible modulus it raises
 ZeroDivisionError, which Rabin's irreducibility test reads as "not a unit".
 
-Two routines here serve every layer: `power` is the one square-and-multiply
-loop (field elements, polynomials mod a modulus, group elements, divisor
-classes), and `multiplicative_order` is the one order search (element
-orders in G, the generator of F_p^x, the embedding degree of the
-ell-torsion, the cyclic group of square roots).
+Two routines here serve every layer: `power` is the square-and-multiply
+loop of field elements, polynomials mod a modulus, group elements and
+divisor classes, and `multiplicative_order` is the one order search
+(element orders in G, the generator of F_p^x, the embedding degree of the
+ell-torsion, the cyclic group of square roots).  `TruncatedSeries.__pow__`
+keeps a loop of its own: it skips the product by one and the squaring
+after the last bit, each a full series product that `power` would add to
+the wild series.  The closed-form wild multiplicities of ROADMAP item 2
+remove it with the series engine.
 """
 
 from __future__ import annotations
@@ -287,12 +291,6 @@ class FieldElement:
         return FieldElement(self.field,
                             tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         p = self.field.p
         return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
@@ -343,12 +341,6 @@ class FieldElement:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
@@ -385,7 +377,7 @@ def make_field(p: int, k: int) -> FieldDescriptor:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p < 5:
-        raise ValueError("p >= 5 required")
+        raise ValueError("p must be at least 5 (the curve needs genus >= 2)")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     return FieldDescriptor(p, k, first_irreducible(p, k))

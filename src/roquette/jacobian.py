@@ -120,7 +120,7 @@ class CurveJacobian:
             for _ in range(POINT_TRIES):
                 x = self.field.random_element(rng)
                 val = self.f.evaluate(x)
-                y = val if val.is_zero() else ff.sqrt(val)
+                y = ff.sqrt(val)
                 if y is not None:
                     break
             else:

@@ -81,8 +81,6 @@ class Poly:
         return Poly(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
         zero = self.field.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):

@@ -30,7 +30,7 @@ import time
 from collections import namedtuple
 
 from . import __version__, character, curve, jacobian
-from .ff import is_prime, multiplicative_order
+from .ff import make_field, multiplicative_order
 from .group import get_group
 
 SCHEMA_VERSION = "1.0.0"
@@ -337,14 +337,11 @@ def run_pipeline(p: int, options: PipelineOptions | None = None) -> Verification
     if p > options.max_prime:
         raise UsageError(
             f"p = {p} exceeds the configured maximum {options.max_prime}")
-    if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
-    if p < 5:
-        raise UsageError("p must be at least 5 (the curve needs genus >= 2)")
     if options.series_precision is not None:
         raise UsageError(f"the series precision is fixed at 2p+4; got "
                          f"{options.series_precision}, expected None")
     try:
+        make_field(p, 1)  # ValueError unless p is a prime >= 5
         ells = jacobian.witness_ells(p, options.ell, options.ell_bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -99,17 +99,12 @@ class TruncatedSeries:
         out = [self.coefficient(i) + other.coefficient(i) for i in range(lo, prec)]
         return TruncatedSeries(self.field, lo, out, prec)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncatedSeries(self.field, self.v0,
                                tuple(-c for c in self.coeffs), self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -128,8 +123,6 @@ class TruncatedSeries:
                 if i + j < n:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(self.field, v, out, prec)
-
-    __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
@@ -202,10 +195,8 @@ class TruncatedSeries:
             return TruncatedSeries.zero(self.field, self.prec * vt)
         # split off negative powers: self = s^v0 * unit
         n = self.prec - self.v0
-        unit_prec = min(n * vt, t.prec + (0 - 1) * vt + n * vt)  # conservative
-        unit_prec = min(unit_prec, t.prec)
-        # Horner on the nonnegative part
-        acc = TruncatedSeries.zero(self.field, unit_prec)
+        # Horner on the nonnegative part: known up to O(t^n) = O(s^(n vt)), and t's window
+        acc = TruncatedSeries.zero(self.field, min(n * vt, t.prec))
         for i in range(self.v0 + n - 1, self.v0 - 1, -1):
             acc = acc * t + self.coefficient(i)
         if self.v0:
@@ -224,17 +215,15 @@ def wild_translation_multiplicity(p: int, u: int, sign: int) -> int:
     normal forms of the elements of order p (sign +1) and 2p (sign -1).
     The sign branch of the induced map on the uniformizer is not guessed:
     both branches are expanded and matched against the y-multiplier.
-    The expansion runs once, at precision 2p + 4; PrecisionError reaches
-    the caller if the difference vanishes through that window.
+    The expansion runs once: every series in it starts from the generator
+    s at precision 2p + 4, and PrecisionError reaches the caller if the
+    difference vanishes through that window.
     """
     if u % p == 0:
         raise ValueError("translation parameter must be nonzero mod p")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _translation_valuation(p, u, sign, 2 * p + 4)
-
-
-def _translation_valuation(p: int, u: int, sign: int, prec: int) -> int:
+    prec = 2 * p + 4
     field = make_field(p, 1)
     s = TruncatedSeries.gen(field, prec)
     one = TruncatedSeries.const(field, 1, prec)

@@ -135,6 +135,10 @@ MUTANTS = (
            "prime_factors(n) == [n]", "len(prime_factors(n)) == 1",
            ("tests/test_ff.py::test_prime_test_and_factors_match_a_sieve",),
            "a prime power has one prime factor too"),
+    Mutant("prime-factors-loop-never-ends", FF,
+           "    while d * d <= n:\n", "    while d // d <= n:\n",
+           ("tests/test_ff.py::test_prime_test_and_factors_match_a_sieve",),
+           "d // d is 1, so trial division never stops; the hang limit ends it"),
     # the one square-and-multiply loop and the one order search
     Mutant("power-squares-before-multiplying", FF,
            "        if n & 1:\n            acc = mul(acc, x)\n        x = mul(x, x)\n",

@@ -452,8 +452,8 @@ def test_traces_and_character_independent_of_the_fp2_root(p, request, monkeypatc
     tb = request.getfixturevalue("torsion3" if p == 5 else "torsion3_p7")
     before = (J.rho_ell_traces(G, tb), CH.lefschetz_character(G))
     root, m1 = C._fp2_root, G.fp2.modulus[1]
-    assert -m1 - root(tb.jacobian.field) != root(tb.jacobian.field)
-    monkeypatch.setattr(C, "_fp2_root", lambda target: -m1 - root(target))
+    assert -(root(tb.jacobian.field) + m1) != root(tb.jacobian.field)
+    monkeypatch.setattr(C, "_fp2_root", lambda target: -(root(target) + m1))
     assert (J.rho_ell_traces(G, tb), CH.lefschetz_character(G)) == before
     traces, chi = before
     assert all((cv - tv) % 3 == 0 for cv, tv in zip(chi, traces))

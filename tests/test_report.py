@@ -397,11 +397,11 @@ def test_report_does_not_depend_on_the_fp2_root(monkeypatch):
 
     def other_root(target):
         fields.append(target)
-        return -m1 - root(target)
+        return -(root(target) + m1)
     monkeypatch.setattr(curve, "_fp2_root", other_root)
     try:
         after = emit(run_pipeline(5), "json")
-        swapped = {F.k for F in set(fields) if -m1 - root(F) != root(F)}
+        swapped = {F.k for F in set(fields) if -(root(F) + m1) != root(F)}
     finally:
         root.cache_clear()
     assert swapped == {4, 12}  # both witness fields, ell = 3 and 7
@@ -574,14 +574,14 @@ def test_cli_huge_ell_names_ell_and_the_bound(capsys, p):
 def test_huge_inputs_fail_the_bounds_before_any_prime_test(monkeypatch):
     # trial division of either number would not finish; the size bounds
     # must reject both before is_prime sees them
-    real = R.is_prime
+    real = ff.is_prime
 
     def small_only(n):
         if n > 10 ** 6:
             raise AssertionError(f"is_prime called on {n}")
         return real(n)
-    monkeypatch.setattr(R, "is_prime", small_only)   # the test of p
-    monkeypatch.setattr(ff, "is_prime", small_only)  # the one witness_ells calls
+    # the one prime test, which make_field and witness_ells both call
+    monkeypatch.setattr(ff, "is_prime", small_only)
     with pytest.raises(UsageError, match="exceeds the configured maximum"):
         run_pipeline(100000000000000000039)
     with pytest.raises(UsageError, match="exceeds the bound"):

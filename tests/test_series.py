@@ -137,13 +137,15 @@ def test_wild_multiplicity_validates_input():
 
 
 def test_wild_multiplicity_gives_up_at_the_default_precision(monkeypatch):
-    # one try at 2p + 4 = 14, and no retry: the error reaches the caller
-    tried = []
+    # one try, its generator at 2p + 4 = 14, and no retry: a generator
+    # starved to p + 1 = 6 leaves an empty window, and the error reaches
+    # the caller
+    tried, real = [], S.TruncatedSeries.gen.__func__
 
-    def starved(p, u, sign, prec):
+    def starved(cls, field, prec):
         tried.append(prec)
-        raise S.PrecisionError("difference vanishes to precision")
-    monkeypatch.setattr(S, "_translation_valuation", starved)
+        return real(cls, field, 6)
+    monkeypatch.setattr(S.TruncatedSeries, "gen", classmethod(starved))
     with pytest.raises(S.PrecisionError):
         S.wild_translation_multiplicity(5, 1, 1)
     assert tried == [14]
