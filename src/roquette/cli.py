@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    verify --prime 5 [--ell 3,7] [--ell-bound N] [--seed S]
+    verify --prime 5 [--ell 3,7] [--ell-bound N]
            [--format json|markdown] [--out PATH] [--timings]
 
 Exit codes: 0 when every check passes and the verdict is "obstructed",
@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--ell-bound", type=int, default=defaults.ell_bound,
                     help="a witness ell is an odd prime other than p whose full "
                          f"torsion fits this bound on ell^(2g) (default {defaults.ell_bound})")
-    ap.add_argument("--seed", type=int, default=defaults.seed,
-                    help=f"seed for the torsion-basis sampling (default {defaults.seed})")
     ap.add_argument("--format", choices=("json", "markdown"), default="markdown")
     ap.add_argument("--out", type=str, default=None,
                     help="write the report to this path instead of stdout")
@@ -58,8 +56,7 @@ def main(argv: list | None = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    options = PipelineOptions(ell=ns.ell, ell_bound=ns.ell_bound, seed=ns.seed,
-                              include_timings=ns.timings)
+    options = PipelineOptions(ell=ns.ell, ell_bound=ns.ell_bound, include_timings=ns.timings)
     try:
         report = run_pipeline(ns.prime, options)
     except UsageError as exc:

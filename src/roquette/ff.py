@@ -3,7 +3,8 @@
 An extension field is described by a monic irreducible modulus of degree k
 over F_p; elements are coefficient vectors of length k (constant term
 first).  Every extension is built directly over F_p, never as a relative
-tower.
+tower.  A field is the object `make_field` returns; descriptors compare by
+identity, so elements of two descriptors never mix, even on one modulus.
 
 All choices are deterministic so that repeated runs are bit-for-bit
 reproducible:
@@ -113,7 +114,6 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def first_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over F_p in the deterministic
     enumeration order (coefficient vectors compared constant term first).
@@ -142,30 +142,19 @@ def first_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldDescriptor:
     """The field F_{p^k} with a fixed monic irreducible modulus of degree k.
 
-    Descriptors compare by (p, k, modulus).  Use :func:`make_field` so that
-    equal descriptors are the same object and per-field caches are shared.
+    A field is the object :func:`make_field` returns.  Descriptors compare
+    by identity: another one on the same modulus is another field.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_hash", "_packed", "_nonresidue")
+    __slots__ = ("p", "k", "modulus", "order", "_packed", "_nonresidue")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.modulus = modulus
         self.order = p ** k
-        self._hash = hash((p, k, modulus))
         self._packed = None
         self._nonresidue = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, FieldDescriptor)
-                and self.p == other.p and self.k == other.k
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.k == 1:
@@ -178,7 +167,7 @@ class FieldDescriptor:
         """Build an element from an int (a prime-field constant) or from a
         coefficient sequence of length <= k (constant term first)."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
@@ -260,13 +249,14 @@ class FieldElement:
     # -- helpers ---------------------------------------------------------------
 
     def _coerce(self, other):
+        """The one operand check: an element of this field, or an int."""
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError(f"field mismatch: {self.field} vs {other.field}")
             return other
         if isinstance(other, int):
             return self.field.element(other)
-        return None
+        raise TypeError(f"cannot combine {self.field!r} with {type(other).__name__}")
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -275,8 +265,6 @@ class FieldElement:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         p = self.field.p
         return FieldElement(self.field,
                             tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
@@ -285,8 +273,6 @@ class FieldElement:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         p = self.field.p
         return FieldElement(self.field,
                             tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
@@ -297,8 +283,6 @@ class FieldElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return FieldElement(self.field, self.field._mul_coeffs(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
@@ -337,13 +321,9 @@ class FieldElement:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return self * o.inverse()
 
     def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
         return power(self, e, operator.mul, self.field.one())
@@ -356,14 +336,13 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return ((other.field is self.field or other.field == self.field)
-                    and self.coeffs == other.coeffs)
+            return other.field is self.field and self.coeffs == other.coeffs
         if isinstance(other, int):
             return self == self.field.element(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field._hash, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         if self.field.k == 1:
@@ -373,7 +352,8 @@ class FieldElement:
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FieldDescriptor:
-    """Descriptor of F_{p^k} with the deterministic first-irreducible modulus."""
+    """The field F_{p^k} on the deterministic first-irreducible modulus: one
+    descriptor per (p, k), the object every element of that field refers to."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p < 5:

@@ -67,7 +67,7 @@ class CurveJacobian:
 
     def from_point(self, x, y) -> tuple:
         """The class of (x, y) - inf."""
-        if x.field != self.field:
+        if x.field is not self.field:
             raise ValueError("point lies over a different field")
         if y * y != self.f.evaluate(x):
             raise ValueError("point is not on the curve")
@@ -92,7 +92,7 @@ class CurveJacobian:
 
     def add(self, D1: tuple, D2: tuple) -> tuple:
         (u1, v1), (u2, v2) = D1, D2
-        if u1.field != self.field or u2.field != self.field:
+        if u1.field is not self.field or u2.field is not self.field:
             raise ValueError("divisors live over a different field")
         # composition
         d1, e1, e2 = u1.xgcd(u2)

@@ -148,7 +148,7 @@ class Poly:
     # -- comparisons -----------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.field == other.field \
+        return isinstance(other, Poly) and self.field is other.field \
             and self.coeffs == other.coeffs
 
     def __hash__(self):

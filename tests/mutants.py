@@ -63,6 +63,7 @@ ACTION = "tests/test_jacobian.py::test_act_on_class_split_support_oracle"
 ALL_PASS = "tests/test_report.py::test_all_checks_pass_at_p5"
 SPAN = "tests/test_jacobian.py::test_coordinates_match_full_span_oracle"
 ROOTS = "tests/test_poly.py::test_roots_with_multiplicity"
+CROSS_FIELD = "tests/test_ff.py::test_cross_field_operations_rejected"
 
 MUTANTS = (
     # the class equation and the kernel read off the classes
@@ -115,6 +116,14 @@ MUTANTS = (
            ("tests/test_group.py::test_wild_normal_form_all_wild_elements",
             "tests/test_curve.py::test_fixed_degree_is_class_function"),
            "canonicalization puts (t|p) on lam"),
+    # a field is the object make_field returns; one operand check
+    Mutant("field-equal-by-modulus", FF,
+           "if other.field is not self.field:", "if other.field.modulus != self.field.modulus:",
+           (CROSS_FIELD,), "a twin descriptor on the same modulus is another field"),
+    Mutant("foreign-operand-accepted", FF,
+           'raise TypeError(f"cannot combine {self.field!r} with {type(other).__name__}")',
+           "return None",
+           (CROSS_FIELD,), "an operand that is neither an element nor an int is refused"),
     # field inverses by extended Euclid
     Mutant("inverse-without-final-scaling", FF,
            "tuple([a * c % p for a in s1])", "tuple(s1)",
@@ -337,10 +346,11 @@ MUTANTS = (
     Mutant("group-elements-renamed", GROUP,
            "    def elements(self) -> tuple:", "    def all_elements(self) -> tuple:",
            ("tests/test_benchmark_contract.py::test_every_traced_entry_point_resolves",
-            "tests/test_benchmark_contract.py::test_every_micro_probe_runs"),
+            "tests/test_benchmark_contract.py::test_every_micro_probe_runs",
+            "tests/test_benchmark_contract.py::test_traced_benchmark_run_reports_every_layer"),
            "perfbench traces and times RoquetteGroup.elements by name"),
-    Mutant("cli-seed-default-literal", CLI,
-           "default=defaults.seed,", "default=0,",
+    Mutant("cli-ell-bound-default-literal", CLI,
+           "default=defaults.ell_bound,", "default=10_000,",
            ("tests/test_report.py::test_cli_defaults_come_from_the_pipeline_options",),
            "the CLI takes its defaults from PipelineOptions"),
     Mutant("series-window-below-one-try", SERIES,

@@ -7,11 +7,14 @@ changed `PipelineOptions` field, fails here before a benchmark run does.
 So does a renamed or removed entry point that the traced run wraps
 (`perfbench/tracing.py`) or the micro-benchmarks call (`perfbench/micro.py`),
 and a per-layer metric of BENCHMARK.json that no live entry point feeds.
+The traced benchmark itself runs once per workload too: it drops a metric
+whose entry point is missing and still exits 0, so its result line is read.
 """
 
 import ast
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,3 +106,18 @@ def test_every_per_layer_metric_has_a_live_source(metric):
     assert inputs, f"{metric}: no span, count, micro probe or derivation produces it"
     live = {name for module, path, name in POINTS if TRACING._resolve(module, path)}
     assert inputs <= live, f"{metric}: no live entry point for {sorted(inputs - live)}"
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_benchmark_run_reports_every_layer(name):
+    # the command line the benchmark runs, from the repository root; its
+    # samples go to the gitignored perfbench/out/
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=40)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    missing = {m["name"] for m in BENCHMARK["per_layer"]} - set(result["metrics"])
+    assert not missing, (sorted(missing), done.stderr)

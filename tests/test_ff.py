@@ -7,6 +7,7 @@ a^(q - 2)) and compared against the module under test.
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -266,12 +267,23 @@ def test_cross_field_operations_rejected():
         _ = a + b
     with pytest.raises(ValueError):
         _ = a * b
-    # an equal descriptor that is a distinct object is the same field
+    # a field is the object make_field returns: a twin descriptor on the
+    # same modulus is another field, whose elements never mix with these
     F25 = make_field(5, 2)
     twin = ff.FieldDescriptor(5, 2, F25.modulus)
-    assert twin is not F25
-    assert twin.gen() == F25.gen()
-    assert (twin.gen() * F25.gen()).coeffs == (F25.gen() * F25.gen()).coeffs
+    assert twin != F25 and twin.gen() != F25.gen()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError):
+            op(twin.gen(), F25.gen())
+    with pytest.raises(ValueError):
+        F25.element(twin.gen())
+    # an operand that is neither an element nor an int is refused too
+    for op, other in ((operator.add, "x"), (operator.mul, 1.5),
+                      (operator.sub, None), (operator.truediv, 2.0)):
+        with pytest.raises(TypeError):
+            op(a, other)
+        with pytest.raises(TypeError):
+            op(other, a)
 
 
 # (101, 3), (257, 2) and (65537, 2) pack into the H, I and Q digits

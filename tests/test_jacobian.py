@@ -329,14 +329,16 @@ def test_witness_cantor_additions_at_p5(fresh_groups, count_calls, mul_calls):
     # one scalar N/ell per sample, at most one order check per kept sample
     # (879 additions with the full prime-to-ell cofactor and the strip to
     # order ell); one action per class and basis vector, 12 * (4 + 4); and
-    # the group mults of a group built afresh
+    # the group mults of a group built afresh.  Equalities, not bounds: until
+    # the benchmark's pace floor is fixed (ROADMAP item 1(b)), less work can
+    # drop a workload's verdicts under it, so work changes only on purpose
     adds = count_calls(J.CurveJacobian, "add")
     actions = count_calls(J, "act_on_class")
     report = run_pipeline(5, PipelineOptions(ell=(3, 7), seed=1))
     assert report.exit_code == 0
-    assert adds[0] <= 683
-    assert actions[0] <= 96
-    assert mul_calls[0] <= 1_850
+    assert adds[0] == 683
+    assert actions[0] == 96
+    assert mul_calls[0] == 1_850
 
 
 def test_torsion_rejects_bad_ell(group5):

@@ -185,13 +185,15 @@ def test_a_run_walks_the_group_once(fresh_groups, monkeypatch, p, options):
 def test_classes_p29_operation_counts(fresh_groups, count_calls, mul_calls):
     # machine-independent work counts of the classes-p29 benchmark workload:
     # the class search and the group checks, and the wild series (the
-    # witness is skipped)
+    # witness is skipped).  Equalities, not bounds: until the benchmark's
+    # pace floor is fixed (ROADMAP item 1(b)), less work can drop a
+    # workload's verdicts under it, so work changes only on purpose
     series_muls = count_calls(series.TruncatedSeries, "__mul__")
     sqrt_calls = count_calls(ff, "sqrt")
     assert run_pipeline(29, PipelineOptions(max_prime=29)).exit_code == 0
-    assert mul_calls[0] <= 296_796
-    assert series_muls[0] <= 648
-    assert sqrt_calls[0] <= 85
+    assert mul_calls[0] == 296_796
+    assert series_muls[0] == 648
+    assert sqrt_calls[0] == 85
 
 
 def test_pipeline_memory_stays_below_the_group_size(fresh_groups):
@@ -502,19 +504,19 @@ def test_prime_help_states_the_default_maximum():
 
 
 def test_cli_defaults_come_from_the_pipeline_options(monkeypatch):
-    # --ell-bound and --seed take their defaults and the help its numbers
-    # from PipelineOptions, so changing the defaults there changes both
+    # --ell-bound takes its default and the help its number from
+    # PipelineOptions, so changing the default there changes both; the
+    # seed has no option, since it changes no report byte but its own echo
     def parsed():
         ap = build_parser()
         return ap.parse_args(["--prime", "5"]), " ".join(ap.format_help().split())
     ns, text = parsed()
-    assert (ns.ell_bound, ns.seed) == (PipelineOptions().ell_bound, PipelineOptions().seed)
-    assert "ell^(2g) (default 10000)" in text and "sampling (default 0)" in text
+    assert ns.ell_bound == PipelineOptions().ell_bound
+    assert "ell^(2g) (default 10000)" in text and "seed" not in text
     monkeypatch.setattr(PipelineOptions, "ell_bound", 777)
-    monkeypatch.setattr(PipelineOptions, "seed", 5)
     ns, text = parsed()
-    assert (ns.ell_bound, ns.seed) == (777, 5)
-    assert "ell^(2g) (default 777)" in text and "sampling (default 5)" in text
+    assert ns.ell_bound == 777
+    assert "ell^(2g) (default 777)" in text
 
 
 def test_usage_errors(capsys):
@@ -550,7 +552,7 @@ def test_usage_errors(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     # so is every error the argument parser finds, and every bad prime
-    for argv in (["--prime", "5", "--seed", "x"], ["--prime", "5", "--format", "xml"],
+    for argv in (["--prime", "5", "--seed", "3"], ["--prime", "5", "--format", "xml"],
                  ["--prime", "five"], [], ["--prime", "0"], ["--prime", "-7"],
                  ["--prime", "32"], ["--prime", str(10 ** 40)]):
         assert main(argv) == 2
