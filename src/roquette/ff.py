@@ -29,15 +29,16 @@ An inverse is one extended-Euclid loop on the coefficient lists of the
 modulus and the element; on a zero divisor of a reducible modulus it raises
 ZeroDivisionError, which Rabin's irreducibility test reads as "not a unit".
 
-Two routines here serve every layer: `power` is the square-and-multiply
+Two routines here serve every layer.  `power` is the square-and-multiply
 loop of field elements, polynomials mod a modulus, group elements and
-divisor classes, and `multiplicative_order` is the one order search
-(element orders in G, the generator of F_p^x, the embedding degree of the
-ell-torsion, the cyclic group of square roots).  `TruncatedSeries.__pow__`
-keeps a loop of its own: it skips the product by one and the squaring
-after the last bit, each a full series product that `power` would add to
-the wild series.  The closed-form wild multiplicities of ROADMAP item 2
-remove it with the series engine.
+divisor classes, and the one exponent check: a non-negative int, else
+TypeError (a float, 0.0 too) or ValueError (n < 0).  `multiplicative_order`
+is the one order search (element orders in G, the generator of F_p^x, the
+embedding degree of the ell-torsion, the cyclic group of square roots).
+`TruncatedSeries.__pow__` keeps a loop of its own: it skips the product by
+one and the squaring after the last bit, each a full series product that
+`power` would add to the wild series.  ROADMAP item 2's closed-form wild
+multiplicities remove it with the series engine.
 """
 
 from __future__ import annotations
@@ -72,12 +73,15 @@ def is_prime(n: int) -> bool:
 
 
 def power(x, n: int, mul, one):
-    """x^n for n >= 0 under the product mul, with identity one.
+    """x^n under the product mul, with identity one, for an int n >= 0;
+    TypeError for a non-int n (0.0 too), ValueError for n < 0.
 
     Binary square-and-multiply from the low bit: acc starts at one and
     takes the product with x^(2^i) for each set bit i, and x is squared
     after every bit, the last one too.  So it makes popcount(n) + bit
     length of n products, always in that order."""
+    if (n := operator.index(n)) < 0:
+        raise ValueError(f"negative exponent {n}")
     acc = one
     while n:
         if n & 1:
@@ -324,8 +328,6 @@ class FieldElement:
         return self * o.inverse()
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
         return power(self, e, operator.mul, self.field.one())
 
     def frobenius(self, i: int) -> "FieldElement":

@@ -86,11 +86,9 @@ class RoquetteGroup:
         """The central element acting as (x, y) -> (x, -y)."""
         return (1, 0, 0, 1, self.p - 1, 0)
 
-    def unipotent(self, u: int = 1) -> GroupElement:
-        """Order-p element: matrix [[1, u], [0, 1]] with lam = 1."""
-        if u % self.p == 0:
-            raise ValueError("unipotent parameter must be nonzero mod p")
-        return (1, u % self.p, 0, 1, 1, 0)
+    def unipotent(self) -> GroupElement:
+        """Order-p element: matrix [[1, 1], [0, 1]] with lam = 1."""
+        return (1, 1, 0, 1, 1, 0)
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
         p = self.p
@@ -112,8 +110,6 @@ class RoquetteGroup:
                                  (l0 * di) % p, (l1 * di) % p)
 
     def power(self, g: GroupElement, n: int) -> GroupElement:
-        if n < 0:
-            return self.power(self.inv(g), -n)
         return ff.power(g, n, self.mul, self.identity)
 
     def element_order(self, g: GroupElement) -> int:

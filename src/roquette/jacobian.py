@@ -109,8 +109,6 @@ class CurveJacobian:
         return u, v % u
 
     def scalar_mul(self, n: int, D: tuple) -> tuple:
-        if n < 0:
-            return self.scalar_mul(-n, self.neg(D))
         return ff.power(D, n, self.add, self.zero())
 
     def random_divisor(self, rng: random.Random) -> tuple:
@@ -164,8 +162,6 @@ def act_on_class(group: RoquetteGroup, g, D: tuple) -> tuple:
     field = u.field
     lam = curve.lambda_in(g, field)
     deg = u.degree()
-    if deg == 0:
-        return D
     jac = CurveJacobian(field, p)
     a, b, c, d = (field.element(x) for x in g[:4])
     num = Poly(field, (-b, d))

@@ -93,8 +93,6 @@ class Poly:
         return Poly(self.field, tuple(a * c for a in self.coeffs))
 
     def monic(self):
-        if self.is_zero():
-            return self
         lead = self.leading()
         if lead == self.field.one():
             return self
@@ -130,7 +128,7 @@ class Poly:
         return q
 
     def xgcd(self, other) -> tuple["Poly", "Poly", "Poly"]:
-        """(d, s, t) with d = s*self + t*other, d monic (or zero)."""
+        """(d, s, t) with d = s*self + t*other, d monic; not both zero."""
         field = self.field
         r0, r1 = self, other
         s0, s1 = Poly.one(field), Poly.zero(field)
@@ -140,8 +138,6 @@ class Poly:
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
             t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
         c = r0.leading().inverse()
         return r0.scale(c), s0.scale(c), t0.scale(c)
 

@@ -64,6 +64,7 @@ ALL_PASS = "tests/test_report.py::test_all_checks_pass_at_p5"
 SPAN = "tests/test_jacobian.py::test_coordinates_match_full_span_oracle"
 ROOTS = "tests/test_poly.py::test_roots_with_multiplicity"
 CROSS_FIELD = "tests/test_ff.py::test_cross_field_operations_rejected"
+EXPONENT = "tests/test_ff.py::test_power_takes_only_non_negative_int_exponents"
 
 MUTANTS = (
     # the class equation and the kernel read off the classes
@@ -154,6 +155,12 @@ MUTANTS = (
            "        x = mul(x, x)\n        if n & 1:\n            acc = mul(acc, x)\n",
            ("tests/test_ff.py::test_power_makes_the_same_products",),
            "bit i contributes x^(2^i), so the square comes after the product"),
+    Mutant("power-accepts-negative-exponent", FF,
+           'raise ValueError(f"negative exponent {n}")', "pass",
+           (EXPONENT,), "n >>= 1 never clears a negative n, so the loop never ends"),
+    Mutant("power-accepts-float-exponent", FF,
+           "if (n := operator.index(n)) < 0:", "if n < 0:",
+           (EXPONENT,), "the loop never runs on 0.0 and returns one for it"),
     Mutant("order-strips-each-prime-once", FF,
            "while n % q == 0 and is_one_at(n // q):", "if n % q == 0 and is_one_at(n // q):",
            ("tests/test_ff.py::test_multiplicative_order_matches_walking_oracle",),

@@ -236,6 +236,24 @@ def test_power_makes_the_same_products():
         assert len(products) == bin(n).count("1") + n.bit_length()
 
 
+def test_power_takes_only_non_negative_int_exponents():
+    # power is the one exponent check of every layer; a product that gives
+    # up after 64 calls makes a missing guard fail at once, not hang
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        assert len(calls) <= 64, "power looped on a bad exponent"
+        return a * b % 1009
+    with pytest.raises(ValueError):
+        ff.power(3, -1, mul, 1)
+    for n in (0.0, 1.5):
+        with pytest.raises(TypeError):
+            ff.power(3, n, mul, 1)
+    with pytest.raises(TypeError):
+        _ = make_field(5, 2).gen() ** 0.0
+
+
 @pytest.mark.parametrize("m", [31, 241])
 def test_multiplicative_order_matches_walking_oracle(m):
     # every unit mod a prime m; 241 - 1 = 2^4 * 3 * 5 has a repeated prime

@@ -127,12 +127,23 @@ def test_scalar_mul_seeded_random_f54(jac54):
         assert jac54.scalar_mul(n, D) == jac54.zero()
 
 
+def test_scalar_mul_rejects_a_negative_multiple(jac25):
+    # ff.power owns the exponent check: a negative multiple is an error,
+    # and a caller negates with jac.neg
+    D = jac25.random_divisor(random.Random(3))
+    with pytest.raises(ValueError):
+        jac25.scalar_mul(-1, D)
+
+
 def test_act_on_class_identity_and_involution(group5, jac54):
     rng = random.Random(5)
     for _ in range(8):
         D = jac54.random_divisor(rng)
         assert J.act_on_class(group5, group5.identity, D) == D
         assert J.act_on_class(group5, group5.involution, D) == jac54.neg(D)
+    # the zero class (1, 0) takes the general path, and every g fixes it
+    assert all(J.act_on_class(group5, g, jac54.zero()) == jac54.zero()
+               for g in group5.elements)
 
 
 def test_act_on_class_additive(group5, jac54):
@@ -163,7 +174,7 @@ def _pointwise_image(G, g, jac, points):
     for P in points:
         acc = jac.add(acc, divisor_of(jac, act(G, g, P)))
     base = divisor_of(jac, act(G, g, INFINITY, field=jac.field))
-    return jac.add(acc, jac.scalar_mul(-len(points), base))
+    return jac.add(acc, jac.neg(jac.scalar_mul(len(points), base)))
 
 
 @pytest.mark.parametrize("p,k", [(5, 4), (7, 4), (5, 10), (5, 12)])
